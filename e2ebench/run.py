@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Build and run the end-to-end benchmark.
 
-    python3 e2ebench/run.py --workload repro-full|serve-hot|serve-sweep \
+    python3 e2ebench/run.py --workload serve-hot|serve-sweep \
         --seed N --seconds S --trace 0|1
 
 Run from the repository root. Builds the `rft-serve` daemon (the

@@ -1,7 +1,7 @@
 //! `rft-e2ebench` — the repository's end-to-end benchmark harness.
 //!
 //! ```text
-//! rft-e2ebench --workload repro-full|serve-hot|serve-sweep --seed N
+//! rft-e2ebench --workload serve-hot|serve-sweep --seed N
 //!              --seconds S --trace 0|1 --daemon PATH
 //! ```
 //!
@@ -11,10 +11,11 @@
 //! With `--trace 0` the metrics are the end-to-end ones of the workload
 //! (set-up, wall, latency percentiles, throughput, peak memory); with
 //! `--trace 1` they are the per-layer ledger, which is the same on every
-//! workload: each Monte-Carlo experiment alone under a live collector,
-//! direct probes of each layer's public calls, and traced serve-hot and
-//! serve-sweep phases. `--daemon` names the built `rft-serve` binary.
-//! `run.py` builds both binaries and supplies it.
+//! workload: each Monte-Carlo experiment of the full-fidelity registry
+//! alone under a live collector, the whole registry with the collector on
+//! and off, direct probes of each layer's public calls, and traced
+//! serve-hot and serve-sweep phases. `--daemon` names the built
+//! `rft-serve` binary. `run.py` builds both binaries and supplies it.
 //!
 //! Exit codes: 0 with a result line, 2 on a usage error.
 
@@ -79,19 +80,6 @@ fn parse(argv: &[String]) -> Result<Args, String> {
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    // The repro-full children: a set-up probe and one timed repetition.
-    let child_seed = || argv.get(2).and_then(|s| s.parse().ok()).unwrap_or(0);
-    match argv.first().map(String::as_str) {
-        Some("--ready-probe") => {
-            repro::ready_probe(child_seed());
-            return ExitCode::SUCCESS;
-        }
-        Some("--repro-once") => {
-            repro::once(child_seed());
-            return ExitCode::SUCCESS;
-        }
-        _ => {}
-    }
     let args = match parse(&argv) {
         Ok(a) => a,
         Err(e) => {
@@ -101,10 +89,9 @@ fn main() -> ExitCode {
     };
     let (seed, seconds) = (args.seed, args.seconds);
     let outcome = match (args.workload.as_str(), args.trace) {
-        ("repro-full", false) => repro::run(seed, seconds),
         ("serve-hot", false) => serve::hot(&args.daemon, seed, seconds, false),
         ("serve-sweep", false) => serve::sweep(&args.daemon, seed, seconds, false),
-        ("repro-full" | "serve-hot" | "serve-sweep", true) => {
+        ("serve-hot" | "serve-sweep", true) => {
             // The traced serve phases run for half the run length each.
             let mut ledger = repro::ledger(seed);
             ledger.merge(probes::engine_layers(seed));

@@ -1,20 +1,15 @@
-//! `repro-full`: the whole experiment registry through
-//! `run_experiments_with` at `RunConfig::full()` — what a paper
-//! reproducer waits for — and the traced per-experiment ledger.
+//! The traced per-experiment ledger: the whole experiment registry
+//! through `run_experiments_with` at `RunConfig::full()` — what a paper
+//! reproducer waits for — one experiment at a time and as a whole.
 
 use crate::gen::Digest;
-use crate::stats::{self, Outcome};
+use crate::stats::Outcome;
 use rft_analysis::experiment::{
     find, registry, run_experiments_with, ExperimentRun, RunnerOptions,
 };
 use rft_analysis::experiments::RunConfig;
 use rft_obs::{Collector, Metric};
-use std::io::{BufRead, BufReader};
-use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
-
-/// Fresh processes timed from spawn to "runner ready" per run.
-const SETUP_SAMPLES: usize = 101;
 
 /// The Monte-Carlo experiments the ledger runs one at a time.
 const LEDGER: [&str; 10] = [
@@ -38,46 +33,13 @@ fn config(seed: u64) -> RunConfig {
     }
 }
 
-/// The child side of the set-up measurement: build everything the runner
-/// needs, then report ready.
-pub fn ready_probe(seed: u64) {
-    let cfg = config(seed);
-    let experiments = registry().to_vec();
-    let opts = RunnerOptions::default();
-    std::hint::black_box((&cfg, &experiments, &opts));
-    println!("ready");
-}
-
-/// Median seconds from spawning a fresh harness process until its runner
-/// reports ready.
-fn setup_s(exe: &std::path::Path, seed: u64) -> Result<f64, String> {
-    let mut samples = Vec::with_capacity(SETUP_SAMPLES);
-    for _ in 0..SETUP_SAMPLES {
-        let start = Instant::now();
-        let mut child = Command::new(exe)
-            .args(["--ready-probe", "--seed", &seed.to_string()])
-            .stdout(Stdio::piped())
-            .spawn()
-            .map_err(|e| format!("spawn ready probe: {e}"))?;
-        let mut line = String::new();
-        let read = BufReader::new(child.stdout.take().expect("piped stdout")).read_line(&mut line);
-        let elapsed = start.elapsed().as_secs_f64();
-        let status = child.wait().map_err(|e| format!("wait ready probe: {e}"))?;
-        if read.is_err() || line.trim() != "ready" || !status.success() {
-            return Err(format!("ready probe failed: {line:?} {status}"));
-        }
-        samples.push(elapsed);
-    }
-    Ok(stats::median(&samples))
-}
-
 fn print_digest(cfg: &RunConfig) {
     let mut d = Digest::new();
     d.update(format!("{cfg:?}").as_bytes());
     for exp in registry() {
         d.update(exp.id().as_bytes());
     }
-    d.print("repro-full");
+    d.print("registry");
 }
 
 /// Counts experiments with a failed self-check.
@@ -93,108 +55,6 @@ fn failed_checks(runs: &[ExperimentRun]) -> u64 {
         failed += u64::from(!run.report.passed());
     }
     failed
-}
-
-/// The child side of one timed repetition: one full registry run in a
-/// fresh process, as a reproducer runs it. Prints the wall seconds, the
-/// experiments with a failed self-check, a digest of every report's
-/// bytes, and the process's peak resident MiB.
-pub fn once(seed: u64) {
-    let start = Instant::now();
-    let runs = run_experiments_with(registry(), &config(seed), &RunnerOptions::default());
-    let wall = start.elapsed().as_secs_f64();
-    let mut reports = Digest::new();
-    for run in &runs {
-        reports.update(run.report.to_json().as_bytes());
-    }
-    println!(
-        "{wall} {} {} {}",
-        failed_checks(&runs),
-        reports.hex(),
-        stats::peak_rss_mb("self")
-    );
-}
-
-/// Runs `exe --repro-once` and parses its line.
-fn repetition(exe: &std::path::Path, seed: u64) -> Result<(f64, u64, String, f64), String> {
-    let out = Command::new(exe)
-        .args(["--repro-once", "--seed", &seed.to_string()])
-        .stderr(Stdio::inherit())
-        .output()
-        .map_err(|e| format!("spawn repetition: {e}"))?;
-    let text = String::from_utf8_lossy(&out.stdout);
-    let fields: Vec<&str> = text.split_whitespace().collect();
-    match fields[..] {
-        [wall, failed, digest, rss] if out.status.success() => Ok((
-            wall.parse().map_err(|_| "bad wall")?,
-            failed.parse().map_err(|_| "bad count")?,
-            digest.to_string(),
-            rss.parse().map_err(|_| "bad rss")?,
-        )),
-        _ => Err(format!("repetition failed ({}): {text:?}", out.status)),
-    }
-}
-
-/// The untraced end-to-end run: full registry runs, each in a fresh
-/// process, back to back for at least `seconds`; every report is checked
-/// against its self-checks and against the first run's bytes (a fixed
-/// seed must reproduce exactly).
-pub fn run(seed: u64, seconds: f64) -> Outcome {
-    let mut out = Outcome::new();
-    let cfg = config(seed);
-    print_digest(&cfg);
-    let exe = match std::env::current_exe() {
-        Ok(exe) => exe,
-        Err(e) => {
-            out.invalid(&format!("current_exe: {e}"));
-            return out;
-        }
-    };
-    match setup_s(&exe, seed) {
-        Ok(s) => out.metric("setup_s", s, "s"),
-        Err(e) => {
-            out.invalid(&e);
-            return out;
-        }
-    }
-    let (mut walls, mut rss) = (Vec::new(), Vec::new());
-    let mut first_digest = None;
-    let start = Instant::now();
-    while walls.is_empty() || start.elapsed().as_secs_f64() < seconds {
-        let n = registry().len() as u64;
-        match repetition(&exe, seed) {
-            Ok((wall, failed, digest, peak)) => {
-                let same = *first_digest.get_or_insert_with(|| digest.clone()) == digest;
-                if !same {
-                    out.invalid("reports differ between runs at one seed");
-                }
-                out.count(n, if same { failed } else { n });
-                walls.push(wall);
-                rss.push(peak);
-            }
-            Err(e) => {
-                out.invalid(&e);
-                out.count(n, n);
-                break;
-            }
-        }
-    }
-    let timed = start.elapsed().as_secs_f64();
-    println!(
-        "repro-full: {} registry runs in {timed:.2} s, threads = {}",
-        walls.len(),
-        cfg.threads
-    );
-    out.metric("wall_s", stats::mean(&walls), "s");
-    out.metric("p50_ms", stats::median(&walls) * 1e3, "ms");
-    out.metric("p99_ms", stats::quantile(&walls, 0.99) * 1e3, "ms");
-    out.metric(
-        "jobs_per_s",
-        out.attempted as f64 / walls.iter().sum::<f64>(),
-        "1/s",
-    );
-    out.metric("peak_rss_mb", stats::median(&rss), "MiB");
-    out
 }
 
 /// Runs `experiments` once under `obs`; returns the wall, the runs, and

@@ -14,7 +14,7 @@
 
 use crate::gen::{Digest, Rng};
 use crate::probes::{self, toffoli};
-use crate::stats::{self, quantile, windowed_quantile, Outcome};
+use crate::stats::{self, per_window, quantile, Outcome};
 use rft_analysis::experiment::CompileCache;
 use rft_analysis::job::{run_job, CircuitSpec, FinalUpdate, JobRecord, JobSpec, NoiseSpec};
 use rft_detect::{AdderKind, TrialMode};
@@ -28,7 +28,7 @@ use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::Path;
 use std::process::{Child, ChildStdout, Command, Stdio};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 /// Client connections (and client threads): the machine's 2 cores.
@@ -46,11 +46,14 @@ pub const HOT_RATE: f64 = 1000.0;
 const GEN_LATE_LIMIT_MS: f64 = 5.0;
 
 /// Daemon set-ups timed per run (median reported).
-const HOT_SETUP_SAMPLES: usize = 21;
-const SWEEP_SETUP_SAMPLES: usize = 31;
+const HOT_SETUP_SAMPLES: usize = 41;
+const SWEEP_SETUP_SAMPLES: usize = 51;
 
-/// Window of the serve-hot latency percentiles (one figure per window,
-/// median reported).
+/// Window of the serve-hot latency percentiles: one figure per window,
+/// and the median over the calm windows is reported. A window is calm when
+/// the hypervisor stole as little CPU time in it as in the calmest third
+/// of the run ([`stats::calm_windows`]); a stolen CPU stalls every
+/// request in flight, so the other windows measure the host.
 const HOT_WINDOW_S: f64 = 1.0;
 
 /// `serve-sweep` jobs listed per second of run length: about the
@@ -578,6 +581,34 @@ fn verify(samples: &[&Sample<'_>], out: &mut Outcome) -> u64 {
     (broken + mismatches.len()) as u64
 }
 
+/// The machine's CPU steal ticks in each `HOT_WINDOW_S` window from `t0`,
+/// until `done` is set.
+fn steal_per_window(t0: Instant, done: &AtomicBool) -> Vec<u64> {
+    let mut marks = Vec::new();
+    for k in 0u32.. {
+        let at = t0 + Duration::from_secs_f64(HOT_WINDOW_S * f64::from(k));
+        std::thread::sleep(at.saturating_duration_since(Instant::now()));
+        marks.push(stats::steal_ticks());
+        if done.load(Ordering::Relaxed) {
+            break;
+        }
+    }
+    marks
+        .windows(2)
+        .map(|m| m[1].saturating_sub(m[0]))
+        .collect()
+}
+
+/// The median of per-window figures over the windows in `only`.
+fn median_of(windows: &BTreeMap<u64, f64>, only: &[u64]) -> f64 {
+    let values: Vec<f64> = windows
+        .iter()
+        .filter(|(k, _)| only.contains(k))
+        .map(|(_, v)| *v)
+        .collect();
+    stats::median(&values)
+}
+
 fn ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1e3
 }
@@ -620,7 +651,13 @@ pub fn hot(daemon: &Path, seed: u64, seconds: f64, traced: bool) -> Outcome {
     };
     let before = daemon.stats();
     let t0 = Instant::now() + Duration::from_millis(20);
-    let samples = on_connections(|c| drive_open(daemon.addr, &schedule[c], t0));
+    let done = AtomicBool::new(false);
+    let (samples, steal) = std::thread::scope(|s| {
+        let sampler = s.spawn(|| steal_per_window(t0, &done));
+        let samples = on_connections(|c| drive_open(daemon.addr, &schedule[c], t0));
+        done.store(true, Ordering::Relaxed);
+        (samples, sampler.join().expect("steal sampler"))
+    });
     let after = daemon.stats();
     let peak_rss = daemon.peak_rss_mb();
     drop(daemon);
@@ -642,11 +679,18 @@ pub fn hot(daemon: &Path, seed: u64, seconds: f64, traced: bool) -> Outcome {
         .collect();
     let end = ok.iter().map(|(_, r)| r.done_at).max().unwrap_or(t0);
     let wall = end.saturating_duration_since(t0).as_secs_f64().max(1e-9);
+    // Only the windows requests were due in; the drain after them is idle.
+    let due_windows = (seconds / HOT_WINDOW_S).ceil() as usize;
+    let calm = stats::calm_windows(&steal[..steal.len().min(due_windows)]);
     println!(
-        "serve-hot: {} requests at {HOT_RATE} req/s offered, {} ok, latency samples = {}",
+        "serve-hot: {} requests at {HOT_RATE} req/s offered, {} ok, latency samples = {}; \
+         {} of {} windows calm, {} steal ticks",
         samples.len(),
         ok.len(),
-        latency.len()
+        latency.len(),
+        calm.len(),
+        due_windows,
+        steal.iter().sum::<u64>()
     );
 
     match (&before, &after) {
@@ -676,7 +720,9 @@ pub fn hot(daemon: &Path, seed: u64, seconds: f64, traced: bool) -> Outcome {
         }
         (Err(e), _) | (_, Err(e)) => out.invalid(e),
     }
-    let late_p99 = windowed_quantile(&gen_late, HOT_WINDOW_S, 0.99);
+    // The generator must keep its schedule in the windows the latency
+    // figures come from.
+    let late_p99 = median_of(&per_window(&gen_late, HOT_WINDOW_S, 0.99), &calm);
     if late_p99 > GEN_LATE_LIMIT_MS {
         out.invalid(&format!(
             "invalid run: the generator fell behind (p99 lateness {late_p99:.3} ms)"
@@ -707,12 +753,12 @@ pub fn hot(daemon: &Path, seed: u64, seconds: f64, traced: bool) -> Outcome {
         out.metric("wall_s", wall, "s");
         out.metric(
             "p50_ms",
-            windowed_quantile(&latency, HOT_WINDOW_S, 0.5),
+            median_of(&per_window(&latency, HOT_WINDOW_S, 0.5), &calm),
             "ms",
         );
         out.metric(
             "p99_ms",
-            windowed_quantile(&latency, HOT_WINDOW_S, 0.99),
+            median_of(&per_window(&latency, HOT_WINDOW_S, 0.99), &calm),
             "ms",
         );
         out.metric("jobs_per_s", ok.len() as f64 / wall, "1/s");

@@ -89,16 +89,46 @@ pub fn quantile(values: &[f64], q: f64) -> f64 {
     sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
-/// The median over consecutive `window_s` windows of quantile `q` of the
-/// values in each; `points` are `(seconds, value)`. A stall confined to
-/// one window moves that window's figure, not the median.
-pub fn windowed_quantile(points: &[(f64, f64)], window_s: f64, q: f64) -> f64 {
+/// Quantile `q` of the values in each consecutive `window_s` window, by
+/// window index; `points` are `(seconds, value)`. A stall confined to one
+/// window moves that window's figure only.
+pub fn per_window(points: &[(f64, f64)], window_s: f64, q: f64) -> BTreeMap<u64, f64> {
     let mut windows: BTreeMap<u64, Vec<f64>> = BTreeMap::new();
     for &(t, v) in points {
         windows.entry((t / window_s) as u64).or_default().push(v);
     }
-    let per_window: Vec<f64> = windows.values().map(|vs| quantile(vs, q)).collect();
-    median(&per_window)
+    windows
+        .into_iter()
+        .map(|(k, vs)| (k, quantile(&vs, q)))
+        .collect()
+}
+
+/// The machine's cumulative CPU steal in clock ticks: time the hypervisor
+/// ran something else while a virtual CPU of this machine had work. 0
+/// where `/proc/stat` does not report it.
+pub fn steal_ticks() -> u64 {
+    std::fs::read_to_string("/proc/stat")
+        .ok()
+        .and_then(|stat| stat.lines().next()?.split_whitespace().nth(8)?.parse().ok())
+        .unwrap_or(0)
+}
+
+/// The calm windows, given each window's steal ticks: those whose steal,
+/// counted with the previous window's (a backlog outlasts the stall that
+/// caused it), is at most that of the calmest third. Where no steal is
+/// reported, every window is calm.
+pub fn calm_windows(steal: &[u64]) -> Vec<u64> {
+    let score: Vec<u64> = (0..steal.len())
+        .map(|k| steal[k] + if k > 0 { steal[k - 1] } else { 0 })
+        .collect();
+    let mut sorted = score.clone();
+    sorted.sort_unstable();
+    let Some(&limit) = sorted.get(sorted.len().div_ceil(3).saturating_sub(1)) else {
+        return Vec::new();
+    };
+    (0..score.len() as u64)
+        .filter(|&k| score[k as usize] <= limit)
+        .collect()
 }
 
 pub fn median(values: &[f64]) -> f64 {
