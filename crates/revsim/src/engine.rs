@@ -131,6 +131,7 @@ use crate::batch::{kernels, BatchExecReport, BatchState};
 use crate::circuit::Circuit;
 use crate::exec::{ExecObserver, ExecReport, NullObserver};
 use crate::fault::FaultPlan;
+use crate::helpers;
 use crate::microop::{self, CompileStats, CompiledOps, ExecScratch};
 use crate::noise::NoiseModel;
 use crate::op::Op;
@@ -140,6 +141,7 @@ use rand::{Rng, RngCore, SeedableRng};
 use rft_obs::{Collector, Gauge, Hist, Metric};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::ops::Range;
 use std::str::FromStr;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -163,7 +165,7 @@ pub const STRATIFIED_ROUTING_THRESHOLD: f64 = 0.2;
 const PMF_TAIL_EPS: f64 = 1e-12;
 
 /// Upper bound on the doubling round size of the stratified word loop
-/// (bounds thread-spawn overhead without starving reallocation).
+/// (bounds per-round hand-off overhead without starving reallocation).
 const MAX_ROUND_WORDS: u64 = 8192;
 
 /// Failures required before adaptive early stopping may trigger (below
@@ -1134,13 +1136,21 @@ impl Engine {
     }
 
     /// Monte-Carlo estimation: runs `opts.trials` independent trials of
-    /// `trial` through the backend selected by `opts`, threaded across
-    /// `opts.threads` workers, and counts failing lanes.
+    /// `trial` through the backend selected by `opts`, and counts failing
+    /// lanes.
+    ///
+    /// With `opts.threads > 1`, each round's words are shared between the
+    /// calling thread and up to `opts.threads − 1` persistent helper
+    /// threads: one process-wide pool of `available_parallelism() − 1`
+    /// helpers, started on first use and parked between rounds, so a
+    /// round spawns no threads. The caller always works on the round and
+    /// never waits for a helper that has not started, so asking for more
+    /// threads never makes a small estimate meaningfully slower.
     ///
     /// Trials are packed 64 per word; each word derives its RNG from
     /// `opts.seed` and the word index, so results are **deterministic per
-    /// seed and backend-independent** (scalar and batch consume identical
-    /// streams). With [`McOptions::target_rel_error`] set, estimation
+    /// seed, thread count and backend** (scalar and batch consume
+    /// identical streams). With [`McOptions::target_rel_error`] set, estimation
     /// stops early once the estimated relative standard error of the
     /// failure rate reaches the target; stopping happens at fixed
     /// thread-independent round boundaries, so even early-stopped results
@@ -1281,9 +1291,10 @@ impl Engine {
         outcome
     }
 
-    /// Runs words `[start, end)` split contiguously across `threads`,
-    /// returning `(failures, executed_trials, extras)`. Each worker opens
-    /// an `engine.words` span on its own thread so the trace attributes
+    /// Runs words `[start, end)` on the caller plus up to `threads − 1`
+    /// persistent helpers (see [`helpers::run_chunked`]), returning
+    /// `(failures, executed_trials, extras)`. Each participant opens an
+    /// `engine.words` span on its own thread so the trace attributes
     /// word-loop time to the thread that spent it; the split itself never
     /// consults the collector.
     #[allow(clippy::too_many_arguments)]
@@ -1297,55 +1308,35 @@ impl Engine {
         threads: usize,
         obs: &Collector,
     ) -> (u64, u64, WordExtras) {
-        let span = end - start;
-        if threads <= 1 || span <= 1 {
+        helpers::run_chunked(threads, end - start, backend.chunk_words(), |claims| {
             let _s = obs.span("engine.words");
-            return self.run_word_range(backend, trial, opts, start, end);
-        }
-        let threads = (threads as u64).min(span);
-        let per = span / threads;
-        let extra = span % threads;
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            let mut first = start;
-            for t in 0..threads {
-                let n = per + u64::from(t < extra);
-                let lo = first;
-                first += n;
-                handles.push(scope.spawn(move || {
-                    let _s = obs.span("engine.words");
-                    self.run_word_range(backend, trial, opts, lo, lo + n)
-                }));
-            }
-            handles
-                .into_iter()
-                .fold((0, 0, WordExtras::default()), |(f, e, mut x), h| {
-                    let (df, de, dx) = h.join().expect("trial thread panicked");
-                    x.merge(dx);
-                    (f + df, e + de, x)
-                })
+            let words = claims.map(|r| start + r.start..start + r.end);
+            self.run_word_range(backend, trial, opts, words)
         })
+        .into_iter()
+        .fold(
+            (0, 0, WordExtras::default()),
+            |(f, e, mut x), (df, de, dx)| {
+                x.merge(dx);
+                (f + df, e + de, x)
+            },
+        )
     }
 
-    /// Runs words `[start, end)` sequentially, dispatching to the legacy
-    /// scalar reference loop or the compiled wide word loop.
+    /// Runs the word ranges of `words` sequentially, dispatching to the
+    /// legacy scalar reference loop or the compiled wide word loop.
     fn run_word_range<T: WordTrial + ?Sized>(
         &self,
         backend: ExecPath,
         trial: &T,
         opts: &McOptions,
-        start: u64,
-        end: u64,
+        words: impl Iterator<Item = Range<u64>>,
     ) -> (u64, u64, WordExtras) {
         match backend {
-            ExecPath::Scalar => self.run_word_range_scalar(trial, opts, start, end),
-            ExecPath::Batch { width: 2 } => {
-                self.run_word_range_wide::<T, 2>(trial, opts, start, end)
-            }
-            ExecPath::Batch { width: 4 } => {
-                self.run_word_range_wide::<T, 4>(trial, opts, start, end)
-            }
-            ExecPath::Batch { .. } => self.run_word_range_wide::<T, 1>(trial, opts, start, end),
+            ExecPath::Scalar => self.run_word_range_scalar(trial, opts, words),
+            ExecPath::Batch { width: 2 } => self.run_word_range_wide::<T, 2>(trial, opts, words),
+            ExecPath::Batch { width: 4 } => self.run_word_range_wide::<T, 4>(trial, opts, words),
+            ExecPath::Batch { .. } => self.run_word_range_wide::<T, 1>(trial, opts, words),
         }
     }
 
@@ -1354,8 +1345,7 @@ impl Engine {
         &self,
         trial: &T,
         opts: &McOptions,
-        start: u64,
-        end: u64,
+        words: impl Iterator<Item = Range<u64>>,
     ) -> (u64, u64, WordExtras) {
         let n_wires = self.circuit.n_wires();
         let mut batch = BatchState::zeros(n_wires, 1);
@@ -1366,7 +1356,7 @@ impl Engine {
         let mut failures = 0u64;
         let mut executed = 0u64;
         let mut extras = WordExtras::default();
-        for word in start..end {
+        for word in words.flatten() {
             let mut rng =
                 SmallRng::seed_from_u64(opts.seed ^ WORD_SEED_STRIDE.wrapping_mul(word + 1));
             batch.clear();
@@ -1394,8 +1384,7 @@ impl Engine {
         &self,
         trial: &T,
         opts: &McOptions,
-        start: u64,
-        end: u64,
+        words: impl Iterator<Item = Range<u64>>,
     ) -> (u64, u64, WordExtras) {
         let compiled = self.compiled();
         let n_wires = self.circuit.n_wires();
@@ -1407,52 +1396,57 @@ impl Engine {
         let mut failures = 0u64;
         let mut executed = 0u64;
         let mut extras = WordExtras::default();
-        let mut word = start;
-        while word < end {
-            if (end - word) < W as u64 {
-                // Remainder words run at width 1 — bit-identical, since
-                // every word owns its RNG stream regardless of grouping.
-                let (f, e, x) = self.run_word_range_wide::<T, 1>(trial, opts, word, end);
-                extras.merge(x);
-                return (failures + f, executed + e, extras);
-            }
-            let mut rngs: [SmallRng; W] = std::array::from_fn(|k| {
-                SmallRng::seed_from_u64(
-                    opts.seed ^ WORD_SEED_STRIDE.wrapping_mul(word + k as u64 + 1),
-                )
-            });
-            for k in 0..W {
-                col.clear();
-                trial.prepare_into(&mut col, &mut rngs[k], &mut inputs[k]);
-                wide.load_column(k, &col);
-            }
-            let outcome = microop::run_sampled_wide::<W>(
-                compiled,
-                &self.table,
-                &mut wide,
-                &mut rngs,
-                &mut scratch,
-            );
-            extras.fault_events += outcome.fault_events;
-            extras.fused_segments += outcome.fused_segments;
-            extras.replayed_segments += outcome.replayed_segments;
-            for (k, word_inputs) in inputs.iter().enumerate() {
-                let valid = valid_lanes(opts.trials, word + k as u64);
-                extras.faulted_lanes += (outcome.faulted[k] & valid).count_ones() as u64;
-                let candidates = if judge_faulted_only {
-                    outcome.faulted[k] & valid
-                } else {
-                    valid
-                };
-                if candidates != 0 {
-                    wide.store_column(k, &mut col);
-                    failures += trial
-                        .judge_masked(&col, word_inputs, candidates)
-                        .count_ones() as u64;
+        for Range { start, end } in words {
+            let mut word = start;
+            while word < end {
+                if (end - word) < W as u64 {
+                    // Remainder words run at width 1 — bit-identical, since
+                    // every word owns its RNG stream regardless of grouping.
+                    let (f, e, x) =
+                        self.run_word_range_wide::<T, 1>(trial, opts, std::iter::once(word..end));
+                    failures += f;
+                    executed += e;
+                    extras.merge(x);
+                    break;
                 }
-                executed += valid.count_ones() as u64;
+                let mut rngs: [SmallRng; W] = std::array::from_fn(|k| {
+                    SmallRng::seed_from_u64(
+                        opts.seed ^ WORD_SEED_STRIDE.wrapping_mul(word + k as u64 + 1),
+                    )
+                });
+                for k in 0..W {
+                    col.clear();
+                    trial.prepare_into(&mut col, &mut rngs[k], &mut inputs[k]);
+                    wide.load_column(k, &col);
+                }
+                let outcome = microop::run_sampled_wide::<W>(
+                    compiled,
+                    &self.table,
+                    &mut wide,
+                    &mut rngs,
+                    &mut scratch,
+                );
+                extras.fault_events += outcome.fault_events;
+                extras.fused_segments += outcome.fused_segments;
+                extras.replayed_segments += outcome.replayed_segments;
+                for (k, word_inputs) in inputs.iter().enumerate() {
+                    let valid = valid_lanes(opts.trials, word + k as u64);
+                    extras.faulted_lanes += (outcome.faulted[k] & valid).count_ones() as u64;
+                    let candidates = if judge_faulted_only {
+                        outcome.faulted[k] & valid
+                    } else {
+                        valid
+                    };
+                    if candidates != 0 {
+                        wide.store_column(k, &mut col);
+                        failures += trial
+                            .judge_masked(&col, word_inputs, candidates)
+                            .count_ones() as u64;
+                    }
+                    executed += valid.count_ones() as u64;
+                }
+                word += W as u64;
             }
-            word += W as u64;
         }
         (failures, executed, extras)
     }
@@ -1496,8 +1490,6 @@ impl Engine {
             flush_run(obs, &outcome, &WordExtras::default());
             return outcome;
         }
-        let tail_cdf = &plan.tail_cdf;
-        let tail_lo = plan.tail_lo;
 
         let threads = opts.threads.max(1);
         let total_words = opts.trials.div_ceil(64);
@@ -1549,18 +1541,13 @@ impl Engine {
                 }
                 assignment.extend(std::iter::repeat_n(si as u32, n as usize));
             }
-            let (tallies, round_extras) = self.run_stratified_span(
-                backend,
-                trial,
-                opts,
-                &strata,
-                tail_cdf,
-                tail_lo,
-                next_word,
-                &assignment,
-                threads,
-                obs,
-            );
+            let layout = StratifiedRound {
+                plan: &plan,
+                base_word: next_word,
+                assignment: &assignment,
+            };
+            let (tallies, round_extras) =
+                self.run_stratified_span(backend, trial, opts, &layout, threads, obs);
             extras.merge(round_extras);
             extras.masked_words += round;
             for (s, (f, n)) in strata.iter_mut().zip(&tallies) {
@@ -1595,112 +1582,76 @@ impl Engine {
         outcome
     }
 
-    /// Runs one stratified round: `assignment[i]` names the stratum of
-    /// global word `base_word + i`; the slice is split contiguously across
-    /// `threads`. Returns per-stratum `(failures, trials)`.
-    #[allow(clippy::too_many_arguments)]
+    /// Runs one stratified round on the caller plus up to `threads − 1`
+    /// persistent helpers: `round.assignment[i]` names the stratum of
+    /// global word `round.base_word + i`, and participants claim chunks
+    /// of the assignment from one cursor, so the low-fault strata at its
+    /// head and the tail strata at its end spread over every thread.
+    /// Returns per-stratum `(failures, trials)`.
     fn run_stratified_span<T: WordTrial + ?Sized>(
         &self,
         backend: ExecPath,
         trial: &T,
         opts: &McOptions,
-        strata: &[StratumOutcome],
-        tail_cdf: &[f64],
-        tail_lo: usize,
-        base_word: u64,
-        assignment: &[u32],
+        round: &StratifiedRound<'_>,
         threads: usize,
         obs: &Collector,
     ) -> (Vec<(u64, u64)>, WordExtras) {
-        let span = assignment.len();
-        if threads <= 1 || span <= 1 {
+        let len = round.assignment.len() as u64;
+        helpers::run_chunked(threads, len, backend.chunk_words(), |claims| {
             let _s = obs.span("engine.words");
-            return self.run_stratified_range(
-                backend, trial, opts, strata, tail_cdf, tail_lo, base_word, assignment,
-            );
-        }
-        let threads = threads.min(span);
-        let per = span / threads;
-        let extra = span % threads;
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            let mut first = 0usize;
-            for t in 0..threads {
-                let n = per + usize::from(t < extra);
-                let lo = first;
-                first += n;
-                let slice = &assignment[lo..lo + n];
-                handles.push(scope.spawn(move || {
-                    let _s = obs.span("engine.words");
-                    self.run_stratified_range(
-                        backend,
-                        trial,
-                        opts,
-                        strata,
-                        tail_cdf,
-                        tail_lo,
-                        base_word + lo as u64,
-                        slice,
-                    )
-                }));
-            }
-            handles.into_iter().fold(
-                (vec![(0u64, 0u64); strata.len()], WordExtras::default()),
-                |(mut acc, mut x), h| {
-                    let (part, px) = h.join().expect("trial thread panicked");
-                    for (a, p) in acc.iter_mut().zip(&part) {
-                        a.0 += p.0;
-                        a.1 += p.1;
-                    }
-                    x.merge(px);
-                    (acc, x)
-                },
-            )
+            let slots = claims.map(|r| r.start as usize..r.end as usize);
+            self.run_stratified_range(backend, trial, opts, round, slots)
         })
+        .into_iter()
+        .fold(
+            (
+                vec![(0u64, 0u64); round.plan.strata.len()],
+                WordExtras::default(),
+            ),
+            |(mut acc, mut x), (part, px)| {
+                for (a, p) in acc.iter_mut().zip(&part) {
+                    a.0 += p.0;
+                    a.1 += p.1;
+                }
+                x.merge(px);
+                (acc, x)
+            },
+        )
     }
 
-    /// Sequential stratified word loop with per-thread scratch buffers,
-    /// dispatched by execution path.
-    #[allow(clippy::too_many_arguments)]
+    /// Sequential stratified word loop over the assignment slots of
+    /// `slots`, dispatched by execution path.
     fn run_stratified_range<T: WordTrial + ?Sized>(
         &self,
         backend: ExecPath,
         trial: &T,
         opts: &McOptions,
-        strata: &[StratumOutcome],
-        tail_cdf: &[f64],
-        tail_lo: usize,
-        base_word: u64,
-        assignment: &[u32],
+        round: &StratifiedRound<'_>,
+        slots: impl Iterator<Item = Range<usize>>,
     ) -> (Vec<(u64, u64)>, WordExtras) {
         match backend {
-            ExecPath::Scalar => self.run_stratified_range_scalar(
-                trial, opts, strata, tail_cdf, tail_lo, base_word, assignment,
-            ),
-            ExecPath::Batch { width: 2 } => self.run_stratified_range_wide::<T, 2>(
-                trial, opts, strata, tail_cdf, tail_lo, base_word, assignment,
-            ),
-            ExecPath::Batch { width: 4 } => self.run_stratified_range_wide::<T, 4>(
-                trial, opts, strata, tail_cdf, tail_lo, base_word, assignment,
-            ),
-            ExecPath::Batch { .. } => self.run_stratified_range_wide::<T, 1>(
-                trial, opts, strata, tail_cdf, tail_lo, base_word, assignment,
-            ),
+            ExecPath::Scalar => self.run_stratified_range_scalar(trial, opts, round, slots),
+            ExecPath::Batch { width: 2 } => {
+                self.run_stratified_range_wide::<T, 2>(trial, opts, round, slots)
+            }
+            ExecPath::Batch { width: 4 } => {
+                self.run_stratified_range_wide::<T, 4>(trial, opts, round, slots)
+            }
+            ExecPath::Batch { .. } => {
+                self.run_stratified_range_wide::<T, 1>(trial, opts, round, slots)
+            }
         }
     }
 
     /// Scalar reference stratified loop (per-lane replay of the shared
     /// conditional mask schedule).
-    #[allow(clippy::too_many_arguments)]
     fn run_stratified_range_scalar<T: WordTrial + ?Sized>(
         &self,
         trial: &T,
         opts: &McOptions,
-        strata: &[StratumOutcome],
-        tail_cdf: &[f64],
-        tail_lo: usize,
-        base_word: u64,
-        assignment: &[u32],
+        round: &StratifiedRound<'_>,
+        slots: impl Iterator<Item = Range<usize>>,
     ) -> (Vec<(u64, u64)>, WordExtras) {
         let dist = self.fault_dist();
         let n_wires = self.circuit.n_wires();
@@ -1710,10 +1661,11 @@ impl Engine {
         let mut touched: Vec<u32> = Vec::new();
         let mut chosen: Vec<u32> = Vec::new();
         let mut scratch: Vec<usize> = Vec::new();
-        let mut tallies = vec![(0u64, 0u64); strata.len()];
+        let mut tallies = vec![(0u64, 0u64); round.plan.strata.len()];
         let mut extras = WordExtras::default();
-        for (i, &si) in assignment.iter().enumerate() {
-            let word = base_word + i as u64;
+        for i in slots.flatten() {
+            let si = round.assignment[i] as usize;
+            let word = round.base_word + i as u64;
             let mut rng =
                 SmallRng::seed_from_u64(opts.seed ^ WORD_SEED_STRIDE.wrapping_mul(word + 1));
             batch.clear();
@@ -1725,17 +1677,8 @@ impl Engine {
                 masks[t as usize] = 0;
             }
             touched.clear();
-            let stratum = &strata[si as usize];
             for lane in 0..64u32 {
-                let k = match stratum.k_hi {
-                    Some(k) => k as usize,
-                    None => {
-                        let total = tail_cdf.last().copied().unwrap_or(0.0);
-                        let u = rng.random::<f64>() * total;
-                        let pos = tail_cdf.partition_point(|&c| c <= u);
-                        tail_lo + pos.min(tail_cdf.len() - 1)
-                    }
-                };
+                let k = round.plan.fault_count(si, &mut rng);
                 dist.sample_exact(k, &mut rng, &mut chosen, &mut scratch);
                 for &op in &chosen {
                     if masks[op as usize] == 0 {
@@ -1756,8 +1699,8 @@ impl Engine {
                 report.faulted_lanes[0] & valid
             };
             let failed = trial.judge_masked(&batch, &inputs, candidates);
-            tallies[si as usize].0 += failed.count_ones() as u64;
-            tallies[si as usize].1 += valid.count_ones() as u64;
+            tallies[si].0 += failed.count_ones() as u64;
+            tallies[si].1 += valid.count_ones() as u64;
         }
         (tallies, extras)
     }
@@ -1766,16 +1709,12 @@ impl Engine {
     /// iteration through the fused micro-op program. Per word, the RNG
     /// stream (prepare → conditional count/placement draws → fault
     /// planes in op order) matches the scalar reference exactly.
-    #[allow(clippy::too_many_arguments)]
     fn run_stratified_range_wide<T: WordTrial + ?Sized, const W: usize>(
         &self,
         trial: &T,
         opts: &McOptions,
-        strata: &[StratumOutcome],
-        tail_cdf: &[f64],
-        tail_lo: usize,
-        base_word: u64,
-        assignment: &[u32],
+        round: &StratifiedRound<'_>,
+        slots: impl Iterator<Item = Range<usize>>,
     ) -> (Vec<(u64, u64)>, WordExtras) {
         let compiled = self.compiled();
         let dist = self.fault_dist();
@@ -1790,87 +1729,84 @@ impl Engine {
         let mut scratch = ExecScratch::default();
         let mut chosen: Vec<u32> = Vec::new();
         let mut place_scratch: Vec<usize> = Vec::new();
-        let mut tallies = vec![(0u64, 0u64); strata.len()];
+        let mut tallies = vec![(0u64, 0u64); round.plan.strata.len()];
         let mut extras = WordExtras::default();
-        let mut i = 0usize;
-        while i < assignment.len() {
-            if assignment.len() - i < W {
-                // Remainder words at width 1 (bit-identical per word).
-                let (rest, rest_extras) = self.run_stratified_range_wide::<T, 1>(
-                    trial,
-                    opts,
-                    strata,
-                    tail_cdf,
-                    tail_lo,
-                    base_word + i as u64,
-                    &assignment[i..],
-                );
-                for (t, r) in tallies.iter_mut().zip(&rest) {
-                    t.0 += r.0;
-                    t.1 += r.1;
+        for Range { start, end } in slots {
+            let mut i = start;
+            while i < end {
+                if end - i < W {
+                    // Remainder words at width 1 (bit-identical per word).
+                    let (rest, rest_extras) = self.run_stratified_range_wide::<T, 1>(
+                        trial,
+                        opts,
+                        round,
+                        std::iter::once(i..end),
+                    );
+                    for (t, r) in tallies.iter_mut().zip(&rest) {
+                        t.0 += r.0;
+                        t.1 += r.1;
+                    }
+                    extras.merge(rest_extras);
+                    break;
                 }
-                extras.merge(rest_extras);
-                return (tallies, extras);
-            }
-            let mut rngs: [SmallRng; W] = std::array::from_fn(|k| {
-                SmallRng::seed_from_u64(
-                    opts.seed ^ WORD_SEED_STRIDE.wrapping_mul(base_word + (i + k) as u64 + 1),
-                )
-            });
-            for k in 0..W {
-                col.clear();
-                trial.prepare_into(&mut col, &mut rngs[k], &mut inputs[k]);
-                wide.load_column(k, &col);
-                // Conditional mask schedule for this word's stratum.
-                for &t in &touched[k] {
-                    masks[t as usize * W + k] = 0;
-                }
-                touched[k].clear();
-                let stratum = &strata[assignment[i + k] as usize];
-                for lane in 0..64u32 {
-                    let count = match stratum.k_hi {
-                        Some(kk) => kk as usize,
-                        None => {
-                            let total = tail_cdf.last().copied().unwrap_or(0.0);
-                            let u = rngs[k].random::<f64>() * total;
-                            let pos = tail_cdf.partition_point(|&c| c <= u);
-                            tail_lo + pos.min(tail_cdf.len() - 1)
+                let mut rngs: [SmallRng; W] = std::array::from_fn(|k| {
+                    SmallRng::seed_from_u64(
+                        opts.seed
+                            ^ WORD_SEED_STRIDE.wrapping_mul(round.base_word + (i + k) as u64 + 1),
+                    )
+                });
+                for k in 0..W {
+                    col.clear();
+                    trial.prepare_into(&mut col, &mut rngs[k], &mut inputs[k]);
+                    wide.load_column(k, &col);
+                    // Conditional mask schedule for this word's stratum.
+                    for &t in &touched[k] {
+                        masks[t as usize * W + k] = 0;
+                    }
+                    touched[k].clear();
+                    let si = round.assignment[i + k] as usize;
+                    for lane in 0..64u32 {
+                        let count = round.plan.fault_count(si, &mut rngs[k]);
+                        dist.sample_exact(count, &mut rngs[k], &mut chosen, &mut place_scratch);
+                        for &op in &chosen {
+                            let slot = op as usize * W + k;
+                            if masks[slot] == 0 {
+                                touched[k].push(op);
+                            }
+                            masks[slot] |= 1u64 << lane;
                         }
-                    };
-                    dist.sample_exact(count, &mut rngs[k], &mut chosen, &mut place_scratch);
-                    for &op in &chosen {
-                        let slot = op as usize * W + k;
-                        if masks[slot] == 0 {
-                            touched[k].push(op);
-                        }
-                        masks[slot] |= 1u64 << lane;
                     }
                 }
-            }
-            let outcome =
-                microop::run_masked_wide::<W>(compiled, &mut wide, &masks, &mut rngs, &mut scratch);
-            extras.fault_events += outcome.fault_events;
-            extras.fused_segments += outcome.fused_segments;
-            extras.replayed_segments += outcome.replayed_segments;
-            for k in 0..W {
-                let word = base_word + (i + k) as u64;
-                let valid = valid_lanes(opts.trials, word);
-                extras.faulted_lanes += (outcome.faulted[k] & valid).count_ones() as u64;
-                let candidates = if trial.fault_free_can_fail() {
-                    valid
-                } else {
-                    outcome.faulted[k] & valid
-                };
-                let si = assignment[i + k] as usize;
-                if candidates != 0 {
-                    wide.store_column(k, &mut col);
-                    tallies[si].0 += trial
-                        .judge_masked(&col, &inputs[k], candidates)
-                        .count_ones() as u64;
+                let outcome = microop::run_masked_wide::<W>(
+                    compiled,
+                    &mut wide,
+                    &masks,
+                    &mut rngs,
+                    &mut scratch,
+                );
+                extras.fault_events += outcome.fault_events;
+                extras.fused_segments += outcome.fused_segments;
+                extras.replayed_segments += outcome.replayed_segments;
+                for (k, word_inputs) in inputs.iter().enumerate() {
+                    let word = round.base_word + (i + k) as u64;
+                    let valid = valid_lanes(opts.trials, word);
+                    extras.faulted_lanes += (outcome.faulted[k] & valid).count_ones() as u64;
+                    let candidates = if trial.fault_free_can_fail() {
+                        valid
+                    } else {
+                        outcome.faulted[k] & valid
+                    };
+                    let si = round.assignment[i + k] as usize;
+                    if candidates != 0 {
+                        wide.store_column(k, &mut col);
+                        tallies[si].0 += trial
+                            .judge_masked(&col, word_inputs, candidates)
+                            .count_ones() as u64;
+                    }
+                    tallies[si].1 += valid.count_ones() as u64;
                 }
-                tallies[si].1 += valid.count_ones() as u64;
+                i += W;
             }
-            i += W;
         }
         (tallies, extras)
     }
@@ -1953,6 +1889,30 @@ struct StrataPlan {
     tail_cdf: Vec<f64>,
     /// Smallest fault count in the tail stratum.
     tail_lo: usize,
+}
+
+impl StrataPlan {
+    /// Draws one lane's fault count in stratum `si`: fixed for an
+    /// explicit stratum, off the conditional CDF in the tail.
+    fn fault_count(&self, si: usize, rng: &mut SmallRng) -> usize {
+        match self.strata[si].k_hi {
+            Some(k) => k as usize,
+            None => {
+                let total = self.tail_cdf.last().copied().unwrap_or(0.0);
+                let u = rng.random::<f64>() * total;
+                let pos = self.tail_cdf.partition_point(|&c| c <= u);
+                self.tail_lo + pos.min(self.tail_cdf.len() - 1)
+            }
+        }
+    }
+}
+
+/// One stratified round: `assignment[i]` names the stratum of global word
+/// `base_word + i`.
+struct StratifiedRound<'a> {
+    plan: &'a StrataPlan,
+    base_word: u64,
+    assignment: &'a [u32],
 }
 
 /// Plain-integer tallies gathered inside the word loops and flushed to
@@ -2149,6 +2109,15 @@ impl ExecPath {
         match self {
             ExecPath::Scalar => "scalar",
             ExecPath::Batch { .. } => "batch",
+        }
+    }
+
+    /// Words per claim when a span is shared across threads: two passes
+    /// of the word loop, so claims stay aligned to the word width.
+    fn chunk_words(self) -> u64 {
+        match self {
+            ExecPath::Scalar => 2,
+            ExecPath::Batch { width } => 2 * width as u64,
         }
     }
 }
@@ -2703,7 +2672,8 @@ pub struct McOptions {
     pub trials: u64,
     /// Base RNG seed; every 64-trial word derives its own stream from it.
     pub seed: u64,
-    /// Worker threads (`0` is treated as `1`).
+    /// Threads per round, the caller included (`0` is treated as `1`);
+    /// capped by the persistent helper pool, see [`Engine::estimate`].
     pub threads: usize,
     /// Backend selection policy.
     pub backend: BackendKind,

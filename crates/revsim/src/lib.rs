@@ -68,6 +68,7 @@ mod error;
 pub mod exec;
 pub mod fault;
 pub mod gate;
+mod helpers;
 pub mod microop;
 pub mod noise;
 pub mod op;

@@ -14,7 +14,7 @@
 //! or bodies, and non-UTF-8 all map to typed [`HttpError`]s that the
 //! server turns into clean 4xx responses.
 
-use std::io::{self, Read, Write};
+use std::io::{self, BufRead, Read, Write};
 
 /// Parsing limits: every buffer the parser grows is bounded up front.
 #[derive(Debug, Clone, Copy)]
@@ -129,17 +129,20 @@ pub fn is_timeout(e: &io::Error) -> bool {
     )
 }
 
-/// Reads one request from `r` under `limits`.
+/// Reads one request from `r` under `limits`, consuming exactly its
+/// bytes: anything after the body (a pipelined next request) stays in
+/// the reader's buffer.
 ///
-/// Generic over [`Read`] so the proptest suite can drive the parser from
-/// in-memory byte slices; the server passes a `TcpStream` with a read
-/// timeout installed.
+/// Generic over [`BufRead`] so the proptest suite can drive the parser
+/// from in-memory byte slices; the server passes one buffered reader per
+/// connection, over a socket whose read timeout tracks the request
+/// deadline.
 ///
 /// # Errors
 ///
 /// Any malformed, truncated, or over-limit input returns an
 /// [`HttpError`]; this function never panics.
-pub fn read_request<R: Read>(r: &mut R, limits: &Limits) -> Result<Request, HttpError> {
+pub fn read_request<R: BufRead>(r: &mut R, limits: &Limits) -> Result<Request, HttpError> {
     let head = read_head(r, limits)?;
     let head_str =
         std::str::from_utf8(&head).map_err(|_| HttpError::Malformed("head is not UTF-8"))?;
@@ -207,24 +210,33 @@ pub fn read_request<R: Read>(r: &mut R, limits: &Limits) -> Result<Request, Http
 }
 
 /// Reads bytes until the `\r\n\r\n` head terminator (exclusive),
-/// enforcing the head limit. Reads one byte at a time — heads are small
-/// and this must not consume body bytes.
-fn read_head<R: Read>(r: &mut R, limits: &Limits) -> Result<Vec<u8>, HttpError> {
+/// enforcing the head limit. Scans whatever the reader has buffered and
+/// consumes only through the terminator, so body bytes stay buffered.
+fn read_head<R: BufRead>(r: &mut R, limits: &Limits) -> Result<Vec<u8>, HttpError> {
+    const END: &[u8] = b"\r\n\r\n";
+    let cap = limits.max_head_bytes + END.len();
     let mut head = Vec::with_capacity(256);
-    let mut byte = [0u8; 1];
     loop {
-        match r.read(&mut byte) {
-            Ok(0) => return Err(HttpError::Closed),
-            Ok(_) => head.push(byte[0]),
+        let buf = match r.fill_buf() {
+            Ok([]) => return Err(HttpError::Closed),
+            Ok(buf) => buf,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(e) => return Err(e.into()),
-        }
-        if head.ends_with(b"\r\n\r\n") {
-            head.truncate(head.len() - 4);
-            return Ok(head);
-        }
-        if head.len() > limits.max_head_bytes {
-            return Err(HttpError::HeadTooLarge);
+        };
+        let held = head.len();
+        let take = buf.len().min(cap - held);
+        head.extend_from_slice(&buf[..take]);
+        // The terminator may straddle two reads: rescan the held tail.
+        let from = held.saturating_sub(END.len() - 1);
+        match head[from..].windows(END.len()).position(|w| w == END) {
+            Some(at) => {
+                let end = from + at;
+                r.consume(end + END.len() - held);
+                head.truncate(end);
+                return Ok(head);
+            }
+            None if head.len() == cap => return Err(HttpError::HeadTooLarge),
+            None => r.consume(take),
         }
     }
 }
@@ -300,7 +312,23 @@ impl ResponseOpts {
     }
 }
 
-/// Writes a complete fixed-length response with explicit header options.
+/// The status line and headers of a response, through the blank line;
+/// `framing` is its `content-length` or `transfer-encoding` header.
+fn response_head(status: u16, content_type: &str, framing: &str, opts: ResponseOpts) -> Vec<u8> {
+    format!(
+        "HTTP/1.1 {} {}\r\ncontent-type: {}\r\n{}\r\n{}connection: {}\r\n\r\n",
+        status,
+        reason_phrase(status),
+        content_type,
+        framing,
+        opts.extra_headers(),
+        opts.connection(),
+    )
+    .into_bytes()
+}
+
+/// Writes a complete fixed-length response with explicit header options,
+/// head and body in one `write` (one segment on an unbuffered socket).
 ///
 /// # Errors
 ///
@@ -313,17 +341,10 @@ pub fn write_response_opts<W: Write>(
     body: &[u8],
     opts: ResponseOpts,
 ) -> io::Result<()> {
-    write!(
-        w,
-        "HTTP/1.1 {} {}\r\ncontent-type: {}\r\ncontent-length: {}\r\n{}connection: {}\r\n\r\n",
-        status,
-        reason_phrase(status),
-        content_type,
-        body.len(),
-        opts.extra_headers(),
-        opts.connection(),
-    )?;
-    w.write_all(body)?;
+    let framing = format!("content-length: {}", body.len());
+    let mut out = response_head(status, content_type, &framing, opts);
+    out.extend_from_slice(body);
+    w.write_all(&out)?;
     w.flush()
 }
 
@@ -370,11 +391,15 @@ pub fn write_error<W: Write>(w: &mut W, status: u16, reason: &str) -> io::Result
 }
 
 /// A `Transfer-Encoding: chunked` response writer: one [`Self::send`]
-/// per NDJSON line, [`Self::finish`] for the terminating chunk. A send
-/// failing means the client went away — the caller cancels the job.
+/// per NDJSON line, [`Self::finish_with`] for the last line and the
+/// terminating chunk. Every piece goes out in one `write`, so each is one
+/// segment on an unbuffered socket. A send failing means the client went
+/// away — the caller cancels the job.
 #[derive(Debug)]
 pub struct ChunkedWriter<W: Write> {
     w: W,
+    /// The piece being assembled, reused across sends.
+    buf: Vec<u8>,
 }
 
 impl<W: Write> ChunkedWriter<W> {
@@ -390,17 +415,14 @@ impl<W: Write> ChunkedWriter<W> {
         content_type: &str,
         opts: ResponseOpts,
     ) -> io::Result<Self> {
-        write!(
-            w,
-            "HTTP/1.1 {} {}\r\ncontent-type: {}\r\ntransfer-encoding: chunked\r\n{}connection: {}\r\n\r\n",
+        w.write_all(&response_head(
             status,
-            reason_phrase(status),
             content_type,
-            opts.extra_headers(),
-            opts.connection(),
-        )?;
+            "transfer-encoding: chunked",
+            opts,
+        ))?;
         w.flush()?;
-        Ok(ChunkedWriter { w })
+        Ok(ChunkedWriter { w, buf: Vec::new() })
     }
 
     /// Writes the status line + headers (`Connection: close`) and
@@ -424,19 +446,36 @@ impl<W: Write> ChunkedWriter<W> {
         if chunk.is_empty() {
             return Ok(()); // an empty chunk would terminate the stream
         }
-        write!(self.w, "{:x}\r\n", chunk.len())?;
-        self.w.write_all(chunk)?;
-        self.w.write_all(b"\r\n")?;
-        self.w.flush()
+        self.buf.clear();
+        self.push_chunk(chunk)?;
+        self.write_buf()
     }
 
-    /// Sends the terminating zero chunk.
+    /// Sends `last` (if non-empty) and the terminating zero chunk
+    /// together.
     ///
     /// # Errors
     ///
     /// Propagates transport errors.
-    pub fn finish(mut self) -> io::Result<()> {
-        self.w.write_all(b"0\r\n\r\n")?;
+    pub fn finish_with(mut self, last: &[u8]) -> io::Result<()> {
+        self.buf.clear();
+        if !last.is_empty() {
+            self.push_chunk(last)?;
+        }
+        self.buf.extend_from_slice(b"0\r\n\r\n");
+        self.write_buf()
+    }
+
+    /// Appends one chunk (size line, payload, CRLF) to the piece.
+    fn push_chunk(&mut self, chunk: &[u8]) -> io::Result<()> {
+        write!(self.buf, "{:x}\r\n", chunk.len())?;
+        self.buf.extend_from_slice(chunk);
+        self.buf.extend_from_slice(b"\r\n");
+        Ok(())
+    }
+
+    fn write_buf(&mut self) -> io::Result<()> {
+        self.w.write_all(&self.buf)?;
         self.w.flush()
     }
 }
@@ -479,10 +518,26 @@ fn find_crlf(data: &[u8]) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Cursor;
+    use std::cell::RefCell;
+    use std::io::{BufReader, Cursor};
 
     fn parse(bytes: &[u8]) -> Result<Request, HttpError> {
         read_request(&mut Cursor::new(bytes), &Limits::default())
+    }
+
+    /// A `Write` that records every `write` call separately: on an
+    /// unbuffered socket each call is at least one TCP segment.
+    struct Recorder<'a>(&'a RefCell<Vec<Vec<u8>>>);
+
+    impl Write for Recorder<'_> {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.borrow_mut().push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
     }
 
     #[test]
@@ -544,7 +599,7 @@ mod tests {
                 Err(io::Error::new(io::ErrorKind::TimedOut, "stalled"))
             }
         }
-        let err = read_request(&mut Stall, &Limits::default()).unwrap_err();
+        let err = read_request(&mut BufReader::new(Stall), &Limits::default()).unwrap_err();
         assert!(matches!(err, HttpError::Timeout), "got {err:?}");
         assert_eq!(err.status(), 408);
 
@@ -561,7 +616,8 @@ mod tests {
             }
         }
         let head = b"POST / HTTP/1.1\r\ncontent-length: 10\r\n\r\nab".to_vec();
-        let err = read_request(&mut StallAfter(head, 0), &Limits::default()).unwrap_err();
+        let err =
+            read_request(&mut BufReader::new(StallAfter(head, 0)), &Limits::default()).unwrap_err();
         assert_eq!(err.status(), 408, "got {err:?}");
     }
 
@@ -603,8 +659,7 @@ mod tests {
         {
             let mut w = ChunkedWriter::start(&mut buf, 200, "application/x-ndjson").expect("start");
             w.send(b"{\"kind\":\"interval\"}\n").expect("send");
-            w.send(b"{\"kind\":\"final\"}\n").expect("send");
-            w.finish().expect("finish");
+            w.finish_with(b"{\"kind\":\"final\"}\n").expect("finish");
         }
         let head_end = buf
             .windows(4)
@@ -613,5 +668,79 @@ mod tests {
             + 4;
         let body = decode_chunked(&buf[head_end..]).expect("decode");
         assert_eq!(body, b"{\"kind\":\"interval\"}\n{\"kind\":\"final\"}\n");
+    }
+
+    #[test]
+    fn head_limit_and_pipelined_bytes() {
+        let limits = Limits {
+            max_head_bytes: 32,
+            max_body_bytes: 64,
+        };
+        // A head of exactly the limit parses; one byte more does not.
+        let fits = format!("GET /{} HTTP/1.1", "a".repeat(32 - 14));
+        assert_eq!(fits.len(), 32);
+        let ok = read_request(&mut format!("{fits}\r\n\r\n").as_bytes(), &limits);
+        assert!(ok.is_ok(), "{ok:?}");
+        let over = format!("GET /{} HTTP/1.1\r\n\r\n", "a".repeat(33 - 14));
+        let err = read_request(&mut over.as_bytes(), &limits).unwrap_err();
+        assert!(matches!(err, HttpError::HeadTooLarge), "{err:?}");
+
+        // Two pipelined requests through a tiny buffer: the terminator
+        // straddles reads, and each parse stops at its own last byte.
+        let two = b"POST /a HTTP/1.1\r\ncontent-length: 3\r\n\r\nabcGET /b HTTP/1.1\r\n\r\n";
+        let mut r = BufReader::with_capacity(5, &two[..]);
+        let limits = Limits::default();
+        let first = read_request(&mut r, &limits).expect("first");
+        assert_eq!((first.path.as_str(), &first.body[..]), ("/a", &b"abc"[..]));
+        let second = read_request(&mut r, &limits).expect("second");
+        assert_eq!(second.path, "/b");
+        assert!(matches!(
+            read_request(&mut r, &limits),
+            Err(HttpError::Closed)
+        ));
+    }
+
+    #[test]
+    fn every_response_piece_is_one_write() {
+        let calls = RefCell::new(Vec::new());
+        write_response_opts(
+            &mut Recorder(&calls),
+            200,
+            "application/json",
+            b"{}",
+            ResponseOpts::keep_alive(),
+        )
+        .expect("write");
+        assert_eq!(calls.take().len(), 1, "fixed-length response");
+
+        let mut w = ChunkedWriter::start_opts(
+            Recorder(&calls),
+            200,
+            "application/x-ndjson",
+            ResponseOpts::keep_alive(),
+        )
+        .expect("start");
+        assert_eq!(calls.borrow().len(), 1, "chunked head");
+        for sent in 2..=3 {
+            w.send(b"{\"kind\":\"interval\"}\n").expect("send");
+            assert_eq!(calls.borrow().len(), sent, "one write per chunk");
+        }
+        w.finish_with(b"{\"kind\":\"final\"}\n").expect("finish");
+        assert_eq!(
+            calls.borrow().len(),
+            4,
+            "last chunk and terminator together"
+        );
+
+        let bytes = calls.take().concat();
+        let head_end = bytes
+            .windows(4)
+            .position(|w| w == b"\r\n\r\n")
+            .expect("head terminator")
+            + 4;
+        assert_eq!(
+            decode_chunked(&bytes[head_end..]).expect("decode"),
+            b"{\"kind\":\"interval\"}\n{\"kind\":\"interval\"}\n{\"kind\":\"final\"}\n"
+        );
     }
 }

@@ -40,8 +40,8 @@ use rft_analysis::job::{run_job_streaming, CancelledUpdate, JobControl, JobRecor
 use rft_obs::{Collector, Gauge, Hist, Metric};
 use serde::Serialize;
 use std::collections::HashMap;
-use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, BufReader, Read};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -51,6 +51,9 @@ use std::time::{Duration, Instant};
 /// well under a second for every workload we serve, so an immediate-ish
 /// retry is the honest hint.
 const RETRY_AFTER_S: u32 = 1;
+
+/// The longest a lingering close drains a peer (see [`linger_close`]).
+const LINGER: Duration = Duration::from_millis(500);
 
 /// Everything tunable about a daemon instance.
 #[derive(Debug, Clone)]
@@ -284,20 +287,7 @@ impl Server {
                                     retry_after_s: Some(RETRY_AFTER_S),
                                 },
                             );
-                            // Lingering close: the client's unread request
-                            // is still in our receive buffer, and closing
-                            // now would RST and destroy the 503 before
-                            // the peer reads it. Bounded drain, so a
-                            // hostile peer can't stall the accept loop.
-                            let _ = shed.set_read_timeout(Some(Duration::from_millis(250)));
-                            let _ = shed.shutdown(std::net::Shutdown::Write);
-                            let mut sink = [0u8; 1024];
-                            let linger = Instant::now() + Duration::from_millis(500);
-                            while matches!(io::Read::read(&mut shed, &mut sink), Ok(n) if n > 0) {
-                                if Instant::now() >= linger {
-                                    break;
-                                }
-                            }
+                            linger_close(&shed);
                         }
                     }
                 }
@@ -376,12 +366,17 @@ enum Wait {
 /// Waits for the next request's first byte with the idle timeout,
 /// checking the shutdown flag every ≤100 ms so draining closes idle
 /// keep-alive connections promptly instead of after a full idle window.
-fn wait_for_readable(state: &State, stream: &TcpStream) -> Wait {
+/// Bytes already buffered (a pipelined request) count as readable.
+fn wait_for_readable(state: &State, reader: &BufReader<DeadlineStream<'_>>) -> Wait {
+    let stream = reader.get_ref().stream;
     let deadline = Instant::now() + state.config.idle_timeout;
     let mut byte = [0u8; 1];
     loop {
         if state.shutdown.load(Ordering::SeqCst) {
             return Wait::Shutdown;
+        }
+        if !reader.buffer().is_empty() {
+            return Wait::Ready;
         }
         let now = Instant::now();
         if now >= deadline {
@@ -410,7 +405,7 @@ struct DeadlineStream<'a> {
     deadline: Instant,
 }
 
-impl io::Read for DeadlineStream<'_> {
+impl Read for DeadlineStream<'_> {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
         let remaining = self.deadline.saturating_duration_since(Instant::now());
         if remaining.is_zero() {
@@ -427,28 +422,29 @@ impl io::Read for DeadlineStream<'_> {
 /// Serves requests on one connection until it closes, idles out, errors,
 /// or the server drains; all request errors end in a best-effort
 /// response.
-fn handle_connection(state: &State, mut stream: TcpStream) {
+fn handle_connection(state: &State, stream: TcpStream) {
     let _ = stream.set_write_timeout(Some(state.config.write_timeout));
-    while let Wait::Ready = wait_for_readable(state, &stream) {
+    // One buffered reader for the connection's life: a request head costs
+    // one read, not two syscalls per byte, and the bytes of a pipelined
+    // next request wait in its buffer for the next turn of the loop.
+    let mut reader = BufReader::new(DeadlineStream {
+        stream: &stream,
+        deadline: Instant::now(),
+    });
+    while let Wait::Ready = wait_for_readable(state, &reader) {
         let started = Instant::now();
         state.obs.incr(Metric::ServeRequests);
-        let parsed = http::read_request(
-            &mut DeadlineStream {
-                stream: &stream,
-                deadline: started + state.config.request_timeout,
-            },
-            &state.config.limits,
-        );
-        let keep = match parsed {
+        reader.get_mut().deadline = started + state.config.request_timeout;
+        let keep = match http::read_request(&mut reader, &state.config.limits) {
             Err(e) => {
                 if matches!(e, HttpError::Timeout) {
                     state.obs.incr(Metric::ServeTimeouts);
                 }
                 state.obs.incr(Metric::ServeRejected);
-                let _ = http::write_error(&mut stream, e.status(), e.reason());
+                let _ = http::write_error(&mut &stream, e.status(), e.reason());
                 false
             }
-            Ok(req) => route(state, &mut stream, &req).unwrap_or(false),
+            Ok(req) => route(state, &mut &stream, &req).unwrap_or(false),
         };
         state
             .obs
@@ -457,19 +453,37 @@ fn handle_connection(state: &State, mut stream: TcpStream) {
             break;
         }
     }
-    // Lingering close: a request rejected at the head (oversized body,
-    // unsupported encoding) leaves unread bytes in our receive buffer,
-    // and closing then makes the kernel send RST — which can destroy
-    // the response before the peer reads it. Drain briefly so the close
-    // is a clean FIN.
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(250)));
-    let _ = stream.shutdown(std::net::Shutdown::Write);
+    linger_close(&stream);
+}
+
+/// Lingering close. A response sent before the request was fully read (a
+/// shed connection, an oversized body, an unsupported encoding) leaves
+/// unread bytes in our receive buffer, and closing then makes the kernel
+/// send RST — which can destroy the response before the peer reads it.
+/// So half-close and drain until the peer closes or goes quiet for
+/// 250 ms, for at most [`LINGER`]: a peer that keeps dribbling cannot pin
+/// the thread.
+fn linger_close(stream: &TcpStream) {
+    let _ = stream.shutdown(Shutdown::Write);
+    let deadline = Instant::now() + LINGER;
     let mut sink = [0u8; 1024];
-    while matches!(io::Read::read(&mut stream, &mut sink), Ok(n) if n > 0) {}
+    loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero()
+            || stream
+                .set_read_timeout(Some(left.min(Duration::from_millis(250))))
+                .is_err()
+        {
+            return;
+        }
+        if !matches!((&mut &*stream).read(&mut sink), Ok(n) if n > 0) {
+            return;
+        }
+    }
 }
 
 /// Routes a parsed request; returns whether the connection stays open.
-fn route(state: &State, stream: &mut TcpStream, req: &Request) -> io::Result<bool> {
+fn route(state: &State, stream: &mut &TcpStream, req: &Request) -> io::Result<bool> {
     let draining = state.shutdown.load(Ordering::SeqCst);
     let keep = req.keep_alive && !draining;
     let opts = ResponseOpts {
@@ -574,7 +588,7 @@ enum StreamEnd {
 /// replayable final line. Returns whether the connection stays open.
 fn handle_job(
     state: &State,
-    stream: &mut TcpStream,
+    stream: &mut &TcpStream,
     req: &Request,
     keep: bool,
 ) -> io::Result<bool> {
@@ -670,7 +684,7 @@ fn handle_job(
 /// per round. Returns how the stream ended.
 fn stream_job(
     state: &State,
-    stream: &mut TcpStream,
+    stream: &mut &TcpStream,
     record: &JobRecord,
     keep: bool,
 ) -> io::Result<StreamEnd> {
@@ -738,14 +752,13 @@ fn stream_job(
         // Validation already passed, so Err is unreachable; treat it
         // like a completed-with-error stream for robustness.
         Err(msg) => {
-            let _ = out.send(
+            out.finish_with(
                 format!(
                     "{{\"kind\":\"error\",\"error\":{}}}\n",
                     serde_json::to_string(&msg).unwrap_or_else(|_| "\"error\"".into())
                 )
                 .as_bytes(),
-            );
-            out.finish()?;
+            )?;
             Ok(StreamEnd::Completed)
         }
         Ok(None) => {
@@ -756,8 +769,7 @@ fn stream_job(
                     CancelledUpdate::new("deadline exceeded", last_round, record.spec.max_rounds)
                         .to_line();
                 line.push('\n');
-                let _ = out.send(line.as_bytes());
-                let _ = out.finish();
+                let _ = out.finish_with(line.as_bytes());
             }
             // Disconnected/drained: no terminating chunk — truncation is
             // the signal.
@@ -766,10 +778,9 @@ fn stream_job(
         Ok(Some(final_update)) => {
             let mut line = final_update.to_line();
             line.push('\n');
-            if out.send(line.as_bytes()).is_err() {
+            if out.finish_with(line.as_bytes()).is_err() {
                 return Ok(StreamEnd::Disconnected);
             }
-            out.finish()?;
             Ok(StreamEnd::Completed)
         }
     }

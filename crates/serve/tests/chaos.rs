@@ -112,14 +112,21 @@ fn thread_count() -> Option<usize> {
         .map(|entries| entries.count())
 }
 
+/// Floods at one and then two threads per job; the second run starts the
+/// estimator's persistent helpers, which must stay within their bound.
 #[test]
 fn connection_flood_sheds_cleanly_and_admitted_jobs_complete() {
+    flood(1);
+    flood(2);
+}
+
+fn flood(threads_per_job: usize) {
     const CLIENTS: usize = 24;
     const WORKERS: usize = 2;
     let (addr, handle) = start(ServerConfig {
         addr: "127.0.0.1:0".into(),
         threads: 2,
-        threads_per_job: 1,
+        threads_per_job,
         workers: WORKERS,
         accept_queue: 2,
         max_jobs: 2,
@@ -130,6 +137,9 @@ fn connection_flood_sheds_cleanly_and_admitted_jobs_complete() {
     // (pool + accept loop included).
     std::thread::sleep(Duration::from_millis(100));
     let before = thread_count();
+    // The estimator's persistent helpers may start during the flood: at
+    // most one per core beyond the first, once per process.
+    let helpers = std::thread::available_parallelism().map_or(0, |n| n.get() - 1);
 
     // Every client gets a distinct seed so each completed answer needs
     // its own replay check.
@@ -153,7 +163,7 @@ fn connection_flood_sheds_cleanly_and_admitted_jobs_complete() {
     std::thread::sleep(Duration::from_millis(10));
     if let (Some(before), Some(during)) = (before, thread_count()) {
         assert!(
-            during <= before + CLIENTS + 2,
+            during <= before + CLIENTS + 2 + helpers,
             "server spawned per-connection threads: {before} -> {during}"
         );
     }
@@ -198,7 +208,7 @@ fn connection_flood_sheds_cleanly_and_admitted_jobs_complete() {
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
         let settled = match (before, thread_count()) {
-            (Some(before), Some(now)) => now <= before + 2,
+            (Some(before), Some(now)) => now <= before + 2 + helpers,
             _ => true,
         };
         if settled {
@@ -250,6 +260,43 @@ fn slow_loris_head_times_out_with_408() {
         health.contains("\"status\":\"ok\""),
         "daemon survives loris"
     );
+    handle.shutdown();
+}
+
+#[test]
+fn peer_dribbling_after_a_400_frees_its_worker() {
+    // One worker: while the lingering close drains the dribbler, nothing
+    // else is served.
+    let (addr, handle) = start(ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        threads: 2,
+        threads_per_job: 1,
+        workers: 1,
+        drain_timeout: Duration::from_secs(2),
+        ..ServerConfig::default()
+    });
+    let mut stream = connect(addr);
+    stream.write_all(b"GARBAGE\r\n\r\n").expect("garbage");
+    let (head, _body) = read_framed(&mut stream);
+    assert!(head.starts_with("HTTP/1.1 400"), "head: {head}");
+    let answered = Instant::now();
+    // Keep a byte arriving well inside every 250 ms drain slice.
+    let dribbler = std::thread::spawn(move || {
+        while answered.elapsed() < Duration::from_secs(3) {
+            if stream.write_all(b"x").is_err() {
+                break; // the server closed on us
+            }
+            std::thread::sleep(Duration::from_millis(50));
+        }
+    });
+    let health = String::from_utf8(get(addr, "/healthz").1).expect("healthz");
+    let waited = answered.elapsed();
+    assert!(health.contains("\"status\":\"ok\""), "health: {health}");
+    assert!(
+        waited < Duration::from_millis(1500),
+        "the dribbler held the only worker for {waited:?}"
+    );
+    dribbler.join().expect("dribbler");
     handle.shutdown();
 }
 

@@ -250,6 +250,50 @@ fn keep_alive_connection_serves_probes_and_jobs() {
 }
 
 #[test]
+fn pipelined_requests_are_answered_in_order() {
+    let (addr, handle) = start_server(2, 2);
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("timeout");
+
+    // Two jobs and a probe in one write: the second and third requests
+    // arrive while the first is still being parsed.
+    let records: Vec<JobRecord> = [801u64, 802]
+        .map(|seed| JobRecord::new(spec(seed, 2048, 2)))
+        .into();
+    let mut batch = Vec::new();
+    for record in &records {
+        let body = serde_json::to_string(record).expect("record JSON");
+        write!(
+            batch,
+            "POST /jobs HTTP/1.1\r\ncontent-length: {}\r\n\r\n{}",
+            body.len(),
+            body
+        )
+        .expect("request");
+    }
+    batch.extend_from_slice(b"GET /healthz HTTP/1.1\r\n\r\n");
+    stream.write_all(&batch).expect("pipelined requests");
+
+    for record in &records {
+        let (head, resp) = read_framed(&mut stream);
+        assert!(head.starts_with("HTTP/1.1 200"), "head: {head}");
+        let offline = run_job(&CompileCache::new(), &Collector::disabled(), record, 1)
+            .expect("offline replay");
+        assert_eq!(
+            body_lines(&resp).last().expect("final"),
+            &offline.to_line(),
+            "pipelined job answered in order and replays"
+        );
+    }
+    let (head, body) = read_framed(&mut stream);
+    assert!(head.starts_with("HTTP/1.1 200"), "head: {head}");
+    assert!(String::from_utf8_lossy(&body).contains("\"status\":\"ok\""));
+    handle.shutdown();
+}
+
+#[test]
 fn stats_report_pool_and_queue_gauges() {
     let (addr, handle) = start_server(2, 1);
     let stats = get(addr, "/stats");
@@ -318,13 +362,20 @@ fn concurrent_jobs_complete_and_share_the_cache() {
         .map(|i| JobRecord::new(spec(100 + i, 2048, 2)))
         .collect();
 
-    let join_handles: Vec<_> = records
+    // The first job compiles alone: jobs that miss at the same instant
+    // would each compile, and the hit count below would depend on timing.
+    let first = read_stream_lines(post_job(addr, &records[0]));
+    let join_handles: Vec<_> = records[1..]
         .iter()
         .cloned()
         .map(|record| std::thread::spawn(move || read_stream_lines(post_job(addr, &record))))
         .collect();
-    for (record, join) in records.iter().zip(join_handles) {
-        let lines = join.join().expect("client thread");
+    let answers = std::iter::once(first).chain(
+        join_handles
+            .into_iter()
+            .map(|join| join.join().expect("client thread")),
+    );
+    for (record, lines) in records.iter().zip(answers) {
         let offline =
             run_job(&CompileCache::new(), &Collector::disabled(), record, 1).expect("offline");
         assert_eq!(lines.last().expect("final"), &offline.to_line());
