@@ -159,13 +159,15 @@ struct Task {
 impl Pool {
     /// Publishes `work` for up to `seats` helpers, runs it on the caller,
     /// withdraws it, and waits for the helpers that joined. `work` must
-    /// not panic ([`run_chunked`] catches inside it).
+    /// not panic on a helper ([`run_chunked`] catches inside it).
     fn run(&self, seats: usize, work: &(dyn Fn() + Sync)) {
         // SAFETY: the erased borrow is reachable only through the task.
         // Helpers call it only after joining, which happens under the
-        // queue lock while the task is queued; below, the task leaves the
-        // queue under that lock and we then wait until every joined helper
-        // has returned from the call. So no call outlives this frame.
+        // queue lock while the task is queued. `Withdraw` is armed as soon
+        // as the task is queued, and its drop — on return or on unwind —
+        // takes the task off the queue under that lock and then waits
+        // until every joined helper has returned from the call. So no call
+        // outlives this frame.
         let work: &'static (dyn Fn() + Sync) =
             unsafe { std::mem::transmute::<&(dyn Fn() + Sync), &'static (dyn Fn() + Sync)>(work) };
         let task = Arc::new(Task {
@@ -178,18 +180,11 @@ impl Pool {
             task: Arc::clone(&task),
             seats,
         });
+        let _withdraw = Withdraw { pool: self, task: &task };
         for _ in 0..seats {
             self.wake.notify_one();
         }
         work();
-        lock(&self.queue).retain(|posting| !Arc::ptr_eq(&posting.task, &task));
-        let mut joined = lock(&task.joined);
-        while *joined > 0 {
-            joined = task
-                .left
-                .wait(joined)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
     }
 
     /// A helper's life: join the oldest published task, run it, repeat.
@@ -223,6 +218,26 @@ impl Pool {
     }
 }
 
+/// Withdraws a published task and waits out the helpers that joined it.
+struct Withdraw<'a> {
+    pool: &'a Pool,
+    task: &'a Arc<Task>,
+}
+
+impl Drop for Withdraw<'_> {
+    fn drop(&mut self) {
+        lock(&self.pool.queue).retain(|posting| !Arc::ptr_eq(&posting.task, self.task));
+        let mut joined = lock(&self.task.joined);
+        while *joined > 0 {
+            joined = self
+                .task
+                .left
+                .wait(joined)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+}
+
 fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -231,6 +246,8 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 mod tests {
     use super::*;
     use std::collections::BTreeSet;
+    use std::sync::atomic::AtomicBool;
+    use std::time::{Duration, Instant};
 
     /// Every index is claimed exactly once, whatever the split.
     fn covered(threads: usize, len: u64, chunk: u64) -> Vec<u64> {
@@ -278,5 +295,31 @@ mod tests {
         });
         assert!(caught.is_err());
         assert_eq!(covered(2, 64, 1), (0..64).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn an_unwinding_caller_waits_for_the_helpers_that_joined() {
+        let pool = pool();
+        if pool.helpers == 0 {
+            return;
+        }
+        let (entered, left) = (AtomicBool::new(false), AtomicBool::new(false));
+        let caller = std::thread::current().id();
+        let work = || {
+            if std::thread::current().id() == caller {
+                let deadline = Instant::now() + Duration::from_secs(5);
+                while !entered.load(Ordering::Acquire) && Instant::now() < deadline {
+                    std::thread::yield_now();
+                }
+                panic!("the caller unwinds while a helper works");
+            }
+            entered.store(true, Ordering::Release);
+            std::thread::sleep(Duration::from_millis(50));
+            left.store(true, Ordering::Release);
+        };
+        let caught = panic::catch_unwind(AssertUnwindSafe(|| pool.run(1, &work)));
+        assert!(caught.is_err());
+        // A helper that joined has left before `run` unwound past it.
+        assert_eq!(left.load(Ordering::Acquire), entered.load(Ordering::Acquire));
     }
 }

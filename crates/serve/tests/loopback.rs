@@ -362,30 +362,38 @@ fn concurrent_jobs_complete_and_share_the_cache() {
         .map(|i| JobRecord::new(spec(100 + i, 2048, 2)))
         .collect();
 
-    // The first job compiles alone: jobs that miss at the same instant
-    // would each compile, and the hit count below would depend on timing.
-    let first = read_stream_lines(post_job(addr, &records[0]));
-    let join_handles: Vec<_> = records[1..]
+    let join_handles: Vec<_> = records
         .iter()
         .cloned()
         .map(|record| std::thread::spawn(move || read_stream_lines(post_job(addr, &record))))
         .collect();
-    let answers = std::iter::once(first).chain(
-        join_handles
-            .into_iter()
-            .map(|join| join.join().expect("client thread")),
-    );
-    for (record, lines) in records.iter().zip(answers) {
+    for (record, join) in records.iter().zip(join_handles) {
+        let lines = join.join().expect("client thread");
         let offline =
             run_job(&CompileCache::new(), &Collector::disabled(), record, 1).expect("offline");
         assert_eq!(lines.last().expect("final"), &offline.to_line());
     }
 
-    // Same circuit at the same noise: one compile, the rest cache hits.
+    // Same circuit at the same noise: one resident program and engine.
+    // Each job looks both up once; jobs that miss at the same instant each
+    // compile, so how the six lookups split into hits and misses depends
+    // on timing, but at least one of each kind missed.
     let stats = get(addr, "/stats");
     assert_eq!(stat_field(&stats, "cache_programs"), 1, "stats: {stats}");
     assert_eq!(stat_field(&stats, "cache_engines"), 1, "stats: {stats}");
-    assert!(stat_field(&stats, "cache_hits") >= 4, "stats: {stats}");
+    let (hits, misses) = (
+        stat_field(&stats, "cache_hits"),
+        stat_field(&stats, "cache_misses"),
+    );
+    assert_eq!(hits + misses, 6, "stats: {stats}");
+    assert!(misses >= 2, "stats: {stats}");
+
+    // A later job finds both artifacts resident.
+    let record = JobRecord::new(spec(103, 2048, 2));
+    read_stream_lines(post_job(addr, &record));
+    let stats = get(addr, "/stats");
+    assert_eq!(stat_field(&stats, "cache_hits"), hits + 2, "stats: {stats}");
+    assert_eq!(stat_field(&stats, "cache_misses"), misses, "stats: {stats}");
     handle.shutdown();
 }
 
