@@ -180,7 +180,10 @@ impl Pool {
             task: Arc::clone(&task),
             seats,
         });
-        let _withdraw = Withdraw { pool: self, task: &task };
+        let _withdraw = Withdraw {
+            pool: self,
+            task: &task,
+        };
         for _ in 0..seats {
             self.wake.notify_one();
         }
@@ -320,6 +323,9 @@ mod tests {
         let caught = panic::catch_unwind(AssertUnwindSafe(|| pool.run(1, &work)));
         assert!(caught.is_err());
         // A helper that joined has left before `run` unwound past it.
-        assert_eq!(left.load(Ordering::Acquire), entered.load(Ordering::Acquire));
+        assert_eq!(
+            left.load(Ordering::Acquire),
+            entered.load(Ordering::Acquire)
+        );
     }
 }
