@@ -485,7 +485,9 @@ fn pool_strata(pooled: &mut Vec<StratumOutcome>, round: &[StratumOutcome]) {
 
 /// Runs `record` round by round, invoking `on_update` after every round
 /// with the pooled interval; compiled artifacts come from (and go into)
-/// `cache`, observations into `obs`.
+/// `cache`, observations into `obs`. `round_threads` is called at the
+/// start of every round for the threads that round runs on; the answer
+/// is the same at any count.
 ///
 /// Returns `Ok(Some(final))` when the job completed, `Ok(None)` when
 /// `on_update` cancelled it.
@@ -493,14 +495,15 @@ fn pool_strata(pooled: &mut Vec<StratumOutcome>, round: &[StratumOutcome]) {
 /// # Errors
 ///
 /// Returns a client-facing message when the record fails validation.
-pub fn run_job_streaming<F>(
+pub fn run_job_streaming<T, F>(
     cache: &CompileCache,
     obs: &Collector,
     record: &JobRecord,
-    threads: usize,
+    mut round_threads: T,
     mut on_update: F,
 ) -> Result<Option<FinalUpdate>, String>
 where
+    T: FnMut() -> usize,
     F: FnMut(&IntervalUpdate) -> JobControl,
 {
     record.validate()?;
@@ -544,7 +547,7 @@ where
         let opts = McOptions::new(spec.trials_per_round)
             .seed(spec.seed)
             .salt(round_salt(round))
-            .threads(threads.max(1))
+            .threads(round_threads().max(1))
             .backend(spec.backend)
             .estimator(spec.estimator)
             .width(spec.width);
@@ -628,7 +631,7 @@ pub fn run_job(
     record: &JobRecord,
     threads: usize,
 ) -> Result<FinalUpdate, String> {
-    run_job_streaming(cache, obs, record, threads, |_| JobControl::Continue)
+    run_job_streaming(cache, obs, record, || threads, |_| JobControl::Continue)
         .map(|done| done.expect("uncancellable job ran to completion"))
 }
 
@@ -793,10 +796,16 @@ mod tests {
         let cache = CompileCache::new();
         let obs = Collector::disabled();
         let mut updates = Vec::new();
-        let streamed = run_job_streaming(&cache, &obs, &rec, 2, |u| {
-            updates.push(u.clone());
-            JobControl::Continue
-        })
+        let streamed = run_job_streaming(
+            &cache,
+            &obs,
+            &rec,
+            || 2,
+            |u| {
+                updates.push(u.clone());
+                JobControl::Continue
+            },
+        )
         .expect("run")
         .expect("completed");
         assert!(!updates.is_empty());
@@ -820,7 +829,7 @@ mod tests {
             &CompileCache::new(),
             &Collector::disabled(),
             &rec,
-            1,
+            || 1,
             |_| {
                 seen += 1;
                 if seen == 2 {
@@ -888,6 +897,71 @@ mod tests {
         )
         .expect("run");
         assert!(resid.result.estimate.failures <= wrong.result.estimate.failures);
+    }
+
+    #[test]
+    fn rounds_at_alternating_thread_counts_replay_identically() {
+        // A served job's rounds each run at the share of the thread budget
+        // granted to them; the final line must not depend on the grants.
+        let mut plain = JobSpec::quick();
+        plain.max_rounds = 4;
+        let mut level2 = JobSpec::quick();
+        level2.circuit = CircuitSpec::Concat {
+            level: 2,
+            gate: Gate::Cnot {
+                control: w(0),
+                target: w(1),
+            },
+            cycles: 1,
+        };
+        level2.noise = NoiseSpec::Uniform { g: 2e-3 };
+        level2.estimator = Estimator::DEFAULT_STRATIFIED;
+        level2.trials_per_round = 2048;
+        level2.max_rounds = 3;
+        let mut cycle = JobSpec::quick();
+        cycle.circuit = CircuitSpec::Cycle {
+            gate: Gate::Toffoli {
+                controls: [w(0), w(1)],
+                target: w(2),
+            },
+        };
+        cycle.trials_per_round = 1024;
+        cycle.max_rounds = 3;
+        let mut detect = JobSpec::quick();
+        detect.circuit = CircuitSpec::DetectAdder {
+            width: 4,
+            kind: AdderKind::Cla,
+            mode: TrialMode::Detected,
+        };
+        detect.noise = NoiseSpec::Uniform { g: 2e-3 };
+        detect.trials_per_round = 2048;
+        detect.max_rounds = 3;
+
+        for spec in [plain, level2, cycle, detect] {
+            let rec = record(spec);
+            let mut round = 0usize;
+            let alternating = run_job_streaming(
+                &CompileCache::new(),
+                &Collector::disabled(),
+                &rec,
+                || {
+                    round += 1;
+                    1 + round % 2
+                },
+                |_| JobControl::Continue,
+            )
+            .expect("run")
+            .expect("completed");
+            assert!(round >= 2, "every record runs several rounds");
+            let inline =
+                run_job(&CompileCache::new(), &Collector::disabled(), &rec, 1).expect("run");
+            assert_eq!(
+                alternating.to_line(),
+                inline.to_line(),
+                "{:?}",
+                rec.spec.circuit
+            );
+        }
     }
 
     #[test]

@@ -18,10 +18,14 @@
 //! `serve_concurrent` measures per-request latency under sustained
 //! keep-alive load: N client threads each hold one connection and post
 //! jobs back to back; every request's wall-clock is recorded and the
-//! group reports p50/p99 at 10 and 100 concurrent streams. The vendored
-//! criterion shim has no percentile support, so this group measures by
-//! hand and emits lines in the same stdout / `CRITERION_JSON` format,
-//! which feeds the same CI regression gate.
+//! group reports p50/p99 at 10 and 100 concurrent streams. Its
+//! `p50_2_streams_mixed` row runs the daemon at its default 2 threads
+//! per job on a 2-thread budget, the setting where concurrent jobs share
+//! the budget: 2 keep-alive streams each post a fixed list that mixes
+//! multi-round level-2 jobs with one-round jobs, and the row is the p50
+//! latency over every job of every round. The vendored criterion shim has no percentile support, so this group
+//! measures by hand and emits lines in the same stdout /
+//! `CRITERION_JSON` format, which feeds the same CI regression gate.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rft_analysis::experiment::CompileCache;
@@ -34,7 +38,7 @@ use rft_serve::{Server, ServerConfig};
 use std::hint::black_box;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::{Arc, Barrier};
+use std::sync::{Arc, Barrier, Mutex};
 use std::time::{Duration, Instant};
 
 /// The quick job both benches run: one 4096-trial round at level 1.
@@ -60,11 +64,43 @@ fn quick_record(seed: u64) -> JobRecord {
     })
 }
 
-fn start_server() -> SocketAddr {
+/// Jobs per stream in one round of the mixed row.
+const MIXED_JOBS: usize = 8;
+
+/// Job `slot` of mixed-row stream `stream`, with rounds of 16384 trials
+/// at its own noise rate. Every fourth job (a different slot per stream)
+/// is a level-2 CNOT job of up to 8 rounds toward a 0.2 relative
+/// half-width — the costliest family the daemon serves; the rest are
+/// one-round level-1 jobs.
+fn mixed_record(stream: usize, slot: usize) -> JobRecord {
+    let index = stream * MIXED_JOBS + slot;
+    let mut record = quick_record(index as u64);
+    record.spec.trials_per_round = 16384;
+    record.spec.noise = NoiseSpec::Uniform {
+        g: 1e-3 * (1.0 + index as f64 / 4.0),
+    };
+    if (stream + slot).is_multiple_of(4) {
+        record.spec.circuit = CircuitSpec::Concat {
+            level: 2,
+            gate: Gate::Cnot {
+                control: w(0),
+                target: w(1),
+            },
+            cycles: 1,
+        };
+        record.spec.estimator = Estimator::Auto;
+        record.spec.max_rounds = 8;
+        record.spec.target_rel_half_width = Some(0.2);
+    }
+    record
+}
+
+/// A daemon on a 2-thread budget with `threads_per_job` per round.
+fn start_server(threads_per_job: usize) -> SocketAddr {
     let server = Server::bind(ServerConfig {
         addr: "127.0.0.1:0".into(),
         threads: 2,
-        threads_per_job: 1,
+        threads_per_job,
         drain_timeout: Duration::from_secs(1),
         ..ServerConfig::default()
     })
@@ -111,10 +147,32 @@ fn slice_ns(mut routine: impl FnMut()) -> f64 {
     start.elapsed().as_nanos() as f64 / f64::from(calls)
 }
 
-/// The yardstick and the `serve_throughput` rows, measured by hand in
-/// interleaved rounds; each row reports its fastest round. On a shared
-/// machine, neighbours slow whole stretches of seconds, and a row and
-/// its yardstick measured seconds apart can fall in different stretches.
+/// One round of the mixed row: each stream posts its list once, back to
+/// back and concurrently with the other; adds every job's latency (ns)
+/// to `latencies`.
+fn mixed_round(streams: &mut [KeepAlive; 2], latencies: &Mutex<Vec<u64>>) {
+    std::thread::scope(|s| {
+        for conn in streams.iter_mut() {
+            s.spawn(move || {
+                for _ in 0..MIXED_JOBS {
+                    let begun = Instant::now();
+                    conn.roundtrip();
+                    let ns = begun.elapsed().as_nanos() as u64;
+                    latencies.lock().expect("latencies").push(ns);
+                }
+            });
+        }
+    });
+}
+
+/// The yardstick, the `serve_throughput` rows and the mixed
+/// `serve_concurrent` row, measured by hand in interleaved rounds. Each
+/// row but the mixed one reports its fastest round. The mixed row reports
+/// the p50 over all its rounds' jobs instead: a round in which the two
+/// streams happen not to overlap reads as fast as no contention at all.
+/// On a shared machine, neighbours slow whole stretches of seconds, and a
+/// row and its yardstick measured seconds apart can fall in different
+/// stretches.
 /// The yardstick runs each slice on a fresh thread: on a VM, one vCPU can
 /// be slowed by its neighbours for a whole run, and a yardstick that
 /// stayed on the bench's main thread read the same job 2× slower in some
@@ -132,15 +190,31 @@ fn serve_benches(_: &mut Criterion) {
                 .trials,
         );
     };
-    let addr = start_server();
+    let addr = start_server(1);
     let body = serde_json::to_string(&quick_record(2)).expect("record JSON");
-    // Warm both compile caches so the rounds see the steady state (the
+    let mixed_addr = start_server(2);
+    let mixed_bodies = [0, 1].map(|stream| {
+        (0..MIXED_JOBS)
+            .map(|slot| serde_json::to_string(&mixed_record(stream, slot)).expect("record JSON"))
+            .collect::<Vec<_>>()
+    });
+    // Warm the compile caches so the rounds see the steady state (the
     // first request pays the one-time compile).
     offline_job();
     roundtrip(addr, &body);
-    let mut conn = KeepAlive::open(addr, &body);
+    for body in mixed_bodies.iter().flatten() {
+        roundtrip(mixed_addr, body);
+    }
+    let mut conn = KeepAlive::open(addr, &[&body]);
+    let mut mixed = mixed_bodies.map(|bodies| {
+        KeepAlive::open(
+            mixed_addr,
+            &bodies.iter().map(String::as_str).collect::<Vec<_>>(),
+        )
+    });
 
     let mut best = [f64::INFINITY; 3];
+    let mixed_latencies = Mutex::new(Vec::new());
     for _ in 0..ROUNDS {
         let round = [
             std::thread::scope(|s| s.spawn(|| slice_ns(offline_job)).join())
@@ -155,6 +229,7 @@ fn serve_benches(_: &mut Criterion) {
         for (fastest, ns) in best.iter_mut().zip(round) {
             *fastest = fastest.min(ns);
         }
+        mixed_round(&mut mixed, &mixed_latencies);
     }
     let rows = [
         ("serve_yardstick", "offline_quick_job"),
@@ -164,6 +239,15 @@ fn serve_benches(_: &mut Criterion) {
     for ((group, bench), ns) in rows.into_iter().zip(best) {
         report(group, bench, ns, ROUNDS);
     }
+    let mut mixed_latencies = mixed_latencies.into_inner().expect("latencies");
+    mixed_latencies.sort_unstable();
+    let p50 = mixed_latencies[(mixed_latencies.len() - 1) / 2] as f64;
+    report(
+        "serve_concurrent",
+        "p50_2_streams_mixed",
+        p50,
+        mixed_latencies.len(),
+    );
 
     concurrent_benches();
 }
@@ -195,33 +279,41 @@ fn read_framed(reader: &mut BufReader<TcpStream>) -> Vec<u8> {
     }
 }
 
-/// One keep-alive connection that posts the same job again and again.
+/// One keep-alive connection that posts its jobs in turn, again and
+/// again.
 struct KeepAlive {
     writer: TcpStream,
     reader: BufReader<TcpStream>,
-    request: String,
+    requests: Vec<String>,
+    next: usize,
 }
 
 impl KeepAlive {
-    fn open(addr: SocketAddr, body: &str) -> KeepAlive {
+    fn open(addr: SocketAddr, bodies: &[&str]) -> KeepAlive {
         let stream = TcpStream::connect(addr).expect("connect");
         KeepAlive {
             writer: stream.try_clone().expect("clone for writer"),
             reader: BufReader::new(stream),
-            request: format!(
-                "POST /jobs HTTP/1.1\r\ncontent-length: {}\r\n\r\n{}",
-                body.len(),
-                body
-            ),
+            requests: bodies
+                .iter()
+                .map(|body| {
+                    format!(
+                        "POST /jobs HTTP/1.1\r\ncontent-length: {}\r\n\r\n{}",
+                        body.len(),
+                        body
+                    )
+                })
+                .collect(),
+            next: 0,
         }
     }
 
-    /// Posts the job and reads its whole response; returns the body
+    /// Posts the next job and reads its whole response; returns the body
     /// length as the black-box value.
     fn roundtrip(&mut self) -> usize {
-        self.writer
-            .write_all(self.request.as_bytes())
-            .expect("request");
+        let request = &self.requests[self.next];
+        self.next = (self.next + 1) % self.requests.len();
+        self.writer.write_all(request.as_bytes()).expect("request");
         let payload = read_framed(&mut self.reader);
         assert!(
             payload.windows(14).any(|w| w == b"\"kind\":\"final\""),
@@ -239,7 +331,7 @@ fn stream_latencies(
     requests: usize,
     start: Arc<Barrier>,
 ) -> Vec<u64> {
-    let mut conn = KeepAlive::open(addr, &body);
+    let mut conn = KeepAlive::open(addr, &[&body]);
     start.wait();
     (0..requests)
         .map(|_| {

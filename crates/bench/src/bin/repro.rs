@@ -349,15 +349,21 @@ fn run_replay(args: &[String]) -> ExitCode {
     };
     let cache = CompileCache::new();
     let obs = Collector::disabled();
-    let outcome = run_job_streaming(&cache, &obs, &record, threads, |update| {
-        if stream {
-            match serde_json::to_string(update) {
-                Ok(line) => println!("{line}"),
-                Err(e) => eprintln!("repro replay: cannot serialize update: {e}"),
+    let outcome = run_job_streaming(
+        &cache,
+        &obs,
+        &record,
+        || threads,
+        |update| {
+            if stream {
+                match serde_json::to_string(update) {
+                    Ok(line) => println!("{line}"),
+                    Err(e) => eprintln!("repro replay: cannot serialize update: {e}"),
+                }
             }
-        }
-        JobControl::Continue
-    });
+            JobControl::Continue
+        },
+    );
     match outcome {
         Ok(Some(final_update)) => {
             println!("{}", final_update.to_line());

@@ -323,11 +323,14 @@ pub enum Hist {
     /// Wall-clock microseconds one serve-daemon request took, end to end
     /// (connection accepted to response flushed).
     RequestMicros,
+    /// Wall-clock microseconds one served job round waited for its
+    /// thread-budget permit.
+    BudgetWaitMicros,
 }
 
 impl Hist {
     /// Number of histograms in the catalog.
-    pub const COUNT: usize = 4;
+    pub const COUNT: usize = 5;
 
     /// Every histogram, in catalog order.
     pub const ALL: [Hist; Hist::COUNT] = [
@@ -335,6 +338,7 @@ impl Hist {
         Hist::RoundWords,
         Hist::ItemsPerWorker,
         Hist::RequestMicros,
+        Hist::BudgetWaitMicros,
     ];
 
     /// Stable dotted name.
@@ -344,6 +348,7 @@ impl Hist {
             Hist::RoundWords => "estimator.round_words",
             Hist::ItemsPerWorker => "sched.items_per_worker",
             Hist::RequestMicros => "serve.request_us",
+            Hist::BudgetWaitMicros => "serve.budget_wait_us",
         }
     }
 
@@ -353,7 +358,7 @@ impl Hist {
             Hist::QueueDepth => "items",
             Hist::RoundWords => "words",
             Hist::ItemsPerWorker => "items",
-            Hist::RequestMicros => "us",
+            Hist::RequestMicros | Hist::BudgetWaitMicros => "us",
         }
     }
 
@@ -362,7 +367,7 @@ impl Hist {
         match self {
             Hist::QueueDepth | Hist::ItemsPerWorker => "sched",
             Hist::RoundWords => "estimator",
-            Hist::RequestMicros => "serve",
+            Hist::RequestMicros | Hist::BudgetWaitMicros => "serve",
         }
     }
 }

@@ -13,8 +13,9 @@
 //!   overload fills the queue and sheds with `503` + `Retry-After`
 //!   instead of spawning unbounded threads;
 //! - [`fair`] — the FIFO-ticketed global [`ThreadBudget`](fair::ThreadBudget):
-//!   jobs hold worker threads per *round*, not per job, so concurrent
-//!   jobs interleave round-robin;
+//!   jobs hold worker threads per *round*, not per job, and each round
+//!   gets a fair share of the budget among the running jobs, so
+//!   concurrent jobs run side by side;
 //! - [`server`] — routing (`GET /healthz`, `GET /stats`, `POST /jobs`),
 //!   HTTP/1.1 keep-alive connection handling with request/idle
 //!   timeouts, admission control over concurrent jobs, per-job

@@ -8,6 +8,11 @@
 //!           [--drain-timeout SECS]
 //! ```
 //!
+//! `--threads` is the estimator-thread budget all jobs share.
+//! `--threads-per-job` is the most threads one job round uses: a lone job
+//! gets it, and concurrent jobs split the budget fairly, down to one
+//! thread each.
+//!
 //! Prints `listening on <addr>` once bound (the smoke script parses this
 //! to discover an ephemeral port), then serves until SIGINT/SIGTERM,
 //! drains in-flight jobs up to `--drain-timeout`, and exits 0.
@@ -48,6 +53,9 @@ fn usage() -> ! {
          [--idle-timeout-ms MS] [--job-deadline-ms MS] [--cache-mb MB] \
          [--drain-timeout SECS]"
     );
+    eprintln!("  --threads N          estimator-thread budget shared by all jobs");
+    eprintln!("  --threads-per-job N  most threads one job round uses: a lone job gets");
+    eprintln!("                       them, concurrent jobs split --threads fairly");
     std::process::exit(2);
 }
 

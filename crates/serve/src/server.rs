@@ -33,7 +33,7 @@
 //! in-flight jobs get [`ServerConfig::drain_timeout`] to finish before
 //! they are force-cancelled and the process exits.
 
-use crate::fair::ThreadBudget;
+use crate::fair::{JobRegistration, ThreadBudget};
 use crate::http::{self, ChunkedWriter, HttpError, Limits, Request, ResponseOpts};
 use crate::pool::ConnQueue;
 use rft_analysis::job::{run_job_streaming, CancelledUpdate, JobControl, JobRecord, JobSpec};
@@ -62,7 +62,9 @@ pub struct ServerConfig {
     pub addr: String,
     /// Global estimator-thread budget shared by all jobs.
     pub threads: usize,
-    /// Threads one job holds per round (clamped to `threads`).
+    /// The most threads one job round uses (clamped to `threads`): what a
+    /// lone job gets. Concurrent jobs split `threads` fairly, down to one
+    /// thread each (see [`crate::fair`]).
     pub threads_per_job: usize,
     /// Connection-handler pool size: the hard cap on concurrently
     /// served connections (a keep-alive stream holds its worker for the
@@ -133,8 +135,6 @@ struct State {
     force_cancel: AtomicBool,
     /// Connections currently being handled (jobs included).
     connections_active: AtomicU64,
-    /// Jobs currently streaming.
-    jobs_active: AtomicU64,
     /// Monotonic job-id source for the start-time table.
     next_job: AtomicU64,
     /// Start instants of streaming jobs, keyed by job id — the source
@@ -189,6 +189,11 @@ struct Stats {
     cache_engines: u64,
     budget_capacity: u64,
     budget_available: u64,
+    /// Round permits granted so far, and the microseconds their rounds
+    /// waited in total (the `serve.budget_wait_us` histogram's count and
+    /// sum).
+    budget_waits: u64,
+    budget_wait_us: u64,
     workers: u64,
     max_jobs: u64,
 }
@@ -223,7 +228,6 @@ impl Server {
                 shutdown: AtomicBool::new(false),
                 force_cancel: AtomicBool::new(false),
                 connections_active: AtomicU64::new(0),
-                jobs_active: AtomicU64::new(0),
                 next_job: AtomicU64::new(0),
                 job_started: Mutex::new(HashMap::new()),
             }),
@@ -518,7 +522,7 @@ fn route(state: &State, stream: &mut &TcpStream, req: &Request) -> io::Result<bo
 /// `"degraded"` while draining or while shedding is likely (job cap
 /// reached or accept queue full).
 fn healthz_body(state: &State, draining: bool) -> String {
-    let jobs = state.jobs_active.load(Ordering::SeqCst);
+    let jobs = state.budget.jobs() as u64;
     let queued = state.queue.depth();
     let degraded =
         draining || jobs >= state.config.max_jobs as u64 || queued >= state.queue.capacity();
@@ -548,6 +552,7 @@ fn snapshot_stats(state: &State) -> Stats {
         .max()
         .unwrap_or(0);
     obs.set_gauge(Gauge::ServeOldestJobMs, oldest_ms as f64);
+    let budget_wait = obs.snapshot().hist(Hist::BudgetWaitMicros).clone();
     Stats {
         jobs_active: obs.gauge(Gauge::JobsActive) as u64,
         connections_active: obs.gauge(Gauge::ServeConnectionsActive) as u64,
@@ -566,6 +571,8 @@ fn snapshot_stats(state: &State) -> Stats {
         cache_engines: state.cache.engines_cached() as u64,
         budget_capacity: state.budget.capacity() as u64,
         budget_available: state.budget.available() as u64,
+        budget_waits: budget_wait.count,
+        budget_wait_us: budget_wait.sum,
         workers: state.config.workers as u64,
         max_jobs: state.config.max_jobs as u64,
     }
@@ -626,11 +633,10 @@ fn handle_job(
             .map(|()| false);
     }
 
-    // Admission control: at most `max_jobs` concurrently streaming jobs;
-    // the rest are shed with an actionable retry hint.
-    let active = state.jobs_active.fetch_add(1, Ordering::SeqCst) + 1;
-    if active > state.config.max_jobs as u64 {
-        state.jobs_active.fetch_sub(1, Ordering::SeqCst);
+    // Admission control: at most `max_jobs` jobs run their rounds at
+    // once, each registered for its fair share of the thread budget; the
+    // rest are shed with an actionable retry hint.
+    let Some(registration) = state.budget.try_register(state.config.max_jobs) else {
         obs.incr(Metric::ServeShed);
         return http::write_error_opts(
             stream,
@@ -642,8 +648,8 @@ fn handle_job(
             },
         )
         .map(|()| keep);
-    }
-    obs.set_gauge(Gauge::JobsActive, active as f64);
+    };
+    obs.set_gauge(Gauge::JobsActive, state.budget.jobs() as f64);
     let job_id = state.next_job.fetch_add(1, Ordering::SeqCst);
     state
         .job_started
@@ -652,12 +658,11 @@ fn handle_job(
         .insert(job_id, Instant::now());
 
     let result = catch_unwind(AssertUnwindSafe(|| {
-        stream_job(state, stream, &record, keep)
+        stream_job(state, stream, &record, keep, registration)
     }));
 
     state.job_started.lock().expect("job table").remove(&job_id);
-    let active = state.jobs_active.fetch_sub(1, Ordering::SeqCst) - 1;
-    obs.set_gauge(Gauge::JobsActive, active as f64);
+    obs.set_gauge(Gauge::JobsActive, state.budget.jobs() as f64);
 
     match result {
         Ok(end) => match end {
@@ -680,13 +685,15 @@ fn handle_job(
     }
 }
 
-/// Runs the job rounds under the fairness discipline, streaming a line
-/// per round. Returns how the stream ended.
+/// Runs the job rounds under the fair-share discipline, streaming a line
+/// per round. The job leaves the fair share (`registration`) once its
+/// rounds end. Returns how the stream ended.
 fn stream_job(
     state: &State,
     stream: &mut &TcpStream,
     record: &JobRecord,
     keep: bool,
+    registration: JobRegistration<'_>,
 ) -> io::Result<StreamEnd> {
     let obs = &state.obs;
     let mut out = ChunkedWriter::start_opts(
@@ -713,16 +720,22 @@ fn stream_job(
     .min()
     .map(|d| Instant::now() + d);
 
-    // Round-robin fairness: hold a budget permit only per round,
-    // re-queueing (strict FIFO) between rounds so concurrent jobs
-    // interleave instead of the first admission monopolizing the budget.
-    let want = state.config.threads_per_job;
-    let mut permit = Some(state.budget.acquire(want));
-    let threads = permit.as_ref().map_or(1, |p| p.threads());
+    // Hold a budget permit only per round, re-queueing (strict FIFO)
+    // before each one: every round runs at the fair share granted to it,
+    // and no admission monopolizes the budget. Compiling runs before the
+    // first permit, beside the other jobs' rounds.
+    let mut permit = None;
+    let round_threads = || {
+        permit = None; // release before re-queueing
+        let queued = Instant::now();
+        let granted = state.budget.acquire(state.config.threads_per_job);
+        obs.observe(Hist::BudgetWaitMicros, queued.elapsed().as_micros() as u64);
+        permit.insert(granted).threads()
+    };
     let mut end = StreamEnd::Completed;
     let mut last_round = 0u32;
 
-    let outcome = run_job_streaming(&state.cache, obs, record, threads, |update| {
+    let outcome = run_job_streaming(&state.cache, obs, record, round_threads, |update| {
         if state.force_cancel.load(Ordering::SeqCst) {
             end = StreamEnd::Drained;
             return JobControl::Cancel;
@@ -741,11 +754,12 @@ fn stream_job(
                     return JobControl::Cancel;
                 }
             }
-            permit = None; // release before re-queueing
-            permit = Some(state.budget.acquire(want));
         }
         JobControl::Continue
     });
+    // Leave the fair share before returning the last permit, so a round
+    // waiting for it is granted the share of the jobs still computing.
+    drop(registration);
     drop(permit);
 
     match outcome {

@@ -308,6 +308,8 @@ fn stats_report_pool_and_queue_gauges() {
         "timeouts",
         "workers",
         "max_jobs",
+        "budget_waits",
+        "budget_wait_us",
     ] {
         let _ = stat_field(&stats, field);
     }
@@ -394,6 +396,48 @@ fn concurrent_jobs_complete_and_share_the_cache() {
     let stats = get(addr, "/stats");
     assert_eq!(stat_field(&stats, "cache_hits"), hits + 2, "stats: {stats}");
     assert_eq!(stat_field(&stats, "cache_misses"), misses, "stats: {stats}");
+    handle.shutdown();
+}
+
+#[test]
+fn concurrent_jobs_at_the_default_width_replay_identically() {
+    // The default settings: a 2-thread budget and 2 threads per job, so
+    // rounds run at whatever share of the budget they are granted — the
+    // full width alone, one thread each while the other job runs.
+    let (addr, handle) = start_server(2, 2);
+    let mut level2 = spec(301, 2048, 3);
+    level2.circuit = CircuitSpec::Concat {
+        level: 2,
+        gate: Gate::Cnot {
+            control: w(0),
+            target: w(1),
+        },
+        cycles: 1,
+    };
+    level2.noise = NoiseSpec::Uniform { g: 2e-3 };
+    level2.estimator = Estimator::DEFAULT_STRATIFIED;
+    let records = [JobRecord::new(level2), JobRecord::new(spec(302, 4096, 6))];
+
+    let join_handles: Vec<_> = records
+        .iter()
+        .cloned()
+        .map(|record| std::thread::spawn(move || read_stream_lines(post_job(addr, &record))))
+        .collect();
+    let mut rounds = 0;
+    for (record, join) in records.iter().zip(join_handles) {
+        let lines = join.join().expect("client thread");
+        rounds += lines.len() as u64 - 1;
+        let offline =
+            run_job(&CompileCache::new(), &Collector::disabled(), record, 1).expect("offline");
+        assert_eq!(lines.last().expect("final"), &offline.to_line());
+    }
+    assert_eq!(rounds, 3 + 6, "both jobs ran every round");
+
+    // One budget wait is observed per round permit, and every permit is
+    // back before its job's final line goes out.
+    let stats = get(addr, "/stats");
+    assert_eq!(stat_field(&stats, "budget_waits"), rounds, "stats: {stats}");
+    assert_eq!(stat_field(&stats, "budget_available"), 2, "stats: {stats}");
     handle.shutdown();
 }
 
