@@ -54,7 +54,8 @@ pub struct RunConfig {
     pub seed: u64,
     /// Worker threads.
     pub threads: usize,
-    /// Backend selection policy (auto routes by trial count).
+    /// Backend label policy (`auto` labels by trial count; results never
+    /// depend on it).
     pub backend: BackendKind,
     /// Estimator selection policy (auto routes deep-sub-threshold points
     /// to the fault-count-stratified rare-event estimator).

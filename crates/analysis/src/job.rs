@@ -964,6 +964,52 @@ mod tests {
         }
     }
 
+    /// Final lines of three jobs whose backend reports `"scalar"`.
+    const PLAIN_SCALAR: &str = r#"{"kind":"final","schema_version":1,"record":{"schema_version":1,"spec":{"circuit":{"Concat":{"level":1,"gate":{"Toffoli":{"controls":[0,1],"target":2}},"cycles":1}},"noise":{"Uniform":{"g":0.006060606060606061}},"seed":2005,"estimator":"Plain","backend":"Scalar","width":"Auto","trials_per_round":4096,"max_rounds":2,"target_rel_half_width":null}},"result":{"rounds":2,"estimate":{"failures":4,"trials":8192,"rate":0.00048828125,"low":0.00018989890878098173,"high":0.0012549141638857897},"rel_half_width":1.0905756212273234,"converged":false,"executed_words":128,"estimator":"plain","backend":"scalar"}}"#;
+    const AUTO_BELOW_THRESHOLD: &str = r#"{"kind":"final","schema_version":1,"record":{"schema_version":1,"spec":{"circuit":{"Concat":{"level":1,"gate":{"Toffoli":{"controls":[0,1],"target":2}},"cycles":1}},"noise":{"Uniform":{"g":0.02}},"seed":2005,"estimator":"Plain","backend":"Auto","width":"Auto","trials_per_round":100,"max_rounds":3,"target_rel_half_width":null}},"result":{"rounds":3,"estimate":{"failures":1,"trials":300,"rate":0.0033333333333333335,"low":0.0005886577153496197,"high":0.018636693896650527},"rel_half_width":2.7072054271951362,"converged":false,"executed_words":6,"estimator":"plain","backend":"scalar"}}"#;
+    const STRATIFIED_SCALAR_CYCLE: &str = r#"{"kind":"final","schema_version":1,"record":{"schema_version":1,"spec":{"circuit":{"Cycle":{"gate":{"Toffoli":{"controls":[0,1],"target":2}}}},"noise":{"Uniform":{"g":0.006060606060606061}},"seed":2005,"estimator":{"Stratified":{"min_faults":1,"strata_cap":4}},"backend":"Scalar","width":"Auto","trials_per_round":1024,"max_rounds":2,"target_rel_half_width":null}},"result":{"rounds":2,"estimate":{"failures":180,"trials":2048,"rate":0.0005363520733680323,"low":0.0005363520733680323,"high":0.0016526089448472767},"rel_half_width":1.040600872920738,"converged":false,"executed_words":32,"estimator":"stratified","backend":"scalar"}}"#;
+
+    #[test]
+    fn scalar_labelled_jobs_keep_their_final_lines() {
+        // Jobs whose backend resolves to "scalar" (explicitly, or under
+        // `auto` below the batch threshold) run on the same word loop as
+        // every other job; their served bytes are pinned here.
+        let mut plain = JobSpec::quick();
+        plain.backend = BackendKind::Scalar;
+        plain.max_rounds = 2;
+        let mut small = JobSpec::quick();
+        small.noise = NoiseSpec::Uniform { g: 0.02 };
+        small.trials_per_round = 100;
+        small.max_rounds = 3;
+        let mut cycle = JobSpec::quick();
+        cycle.circuit = CircuitSpec::Cycle {
+            gate: Gate::Toffoli {
+                controls: [w(0), w(1)],
+                target: w(2),
+            },
+        };
+        cycle.backend = BackendKind::Scalar;
+        cycle.estimator = Estimator::DEFAULT_STRATIFIED;
+        cycle.trials_per_round = 1024;
+        cycle.max_rounds = 2;
+        let pinned = [
+            (plain, PLAIN_SCALAR),
+            (small, AUTO_BELOW_THRESHOLD),
+            (cycle, STRATIFIED_SCALAR_CYCLE),
+        ];
+        for (spec, expected) in pinned {
+            let line = run_job(
+                &CompileCache::new(),
+                &Collector::disabled(),
+                &record(spec),
+                2,
+            )
+            .expect("run")
+            .to_line();
+            assert_eq!(line, expected);
+        }
+    }
+
     #[test]
     fn cycle_jobs_run_and_replay() {
         let mut spec = JobSpec::quick();

@@ -8,7 +8,7 @@
 //! - [`montecarlo`] — logical-error-rate estimation for compiled
 //!   concatenated programs and local cycles, expressed on the unified
 //!   [`Engine`](rft_revsim::engine::Engine) facade: compile once, run
-//!   many through auto-routed scalar/batch backends with typed
+//!   many on one compiled word loop with typed
 //!   [`McOptions`](rft_revsim::engine::McOptions) (trials, seed, threads,
 //!   optional adaptive early stopping, and an
 //!   [`Estimator`](rft_revsim::engine::Estimator) policy that routes

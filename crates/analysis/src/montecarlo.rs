@@ -14,16 +14,16 @@
 //! per-op fault probabilities, exact binomial fault-mask samplers, and —
 //! lazily — the Poisson-binomial fault-count distribution), and a
 //! [`WordTrial`] supplies the encode/judge logic per 64-trial word. Runs
-//! are configured by typed [`McOptions`] — trials, seed, threads, an
-//! explicit or auto-routed backend, an
+//! are configured by typed [`McOptions`] — trials, seed, threads, a
+//! backend label, an
 //! [`Estimator`](rft_revsim::engine::Estimator) policy (whose default
 //! `Auto` routes deep-sub-threshold points to the fault-count-stratified
 //! rare-event estimator; both trials here opt into zero-fault elision
 //! since a fault-free encode → run → decode lane cannot fail), and
 //! optional adaptive early stopping at a target relative error. Results
-//! are deterministic per seed and identical across the scalar and batch
-//! backends (they share one RNG schedule); the statistical equivalence
-//! tests live in `tests/batch_stats.rs`.
+//! are deterministic per seed and the same under every backend label
+//! (one executor runs them all); the statistical equivalence tests live
+//! in `tests/batch_stats.rs`.
 
 use crate::stats::ErrorEstimate;
 use rand::{Rng, RngCore};
@@ -167,8 +167,7 @@ impl ConcatMc {
     }
 
     /// The [`WordTrial`] driving [`ConcatMc::estimate`], for use with a
-    /// hand-built [`Engine`] or
-    /// [`Simulation`](rft_revsim::engine::Simulation).
+    /// hand-built or cached [`Engine`].
     pub fn trial(&self) -> ConcatTrial<'_> {
         ConcatTrial::new(&self.program, &self.ideal)
     }
@@ -176,9 +175,9 @@ impl ConcatMc {
     /// Estimates the probability that a full trial (all cycles) ends with
     /// any logical bit decoded incorrectly, over random logical inputs.
     ///
-    /// Routes through the [`Engine`] facade: the backend is chosen by
+    /// Routes through the [`Engine`] facade: the backend label follows
     /// `opts` ([`BackendKind::Auto`](rft_revsim::engine::BackendKind)
-    /// batches at ≥ [`BATCH_TRIAL_THRESHOLD`] trials), and setting
+    /// reads `"batch"` at ≥ [`BATCH_TRIAL_THRESHOLD`] trials), and setting
     /// [`McOptions::target_rel_error`] enables adaptive early stopping.
     pub fn estimate<N>(&self, noise: &N, opts: &McOptions) -> ErrorEstimate
     where

@@ -1,7 +1,7 @@
 //! Statistical guarantees of the engine-based Monte-Carlo estimators.
 //!
-//! Scalar and batch backends share one fault schedule, so their agreement
-//! is exact per seed (pinned by the revsim property tests); across
+//! Every backend label runs the same executor, so estimates agree exactly
+//! per seed (pinned by the revsim property tests); across
 //! *different* seeds the estimators must still be statistically
 //! consistent, reproduce the paper's qualitative behaviour (noiseless
 //! perfection, below-threshold suppression), and — for the adaptive

@@ -1,12 +1,12 @@
-//! Scalar vs bit-parallel batch Monte-Carlo throughput, through the
-//! unified engine facade.
+//! Bit-parallel Monte-Carlo throughput, through the unified engine
+//! facade.
 //!
-//! The headline comparison of the batch engine: noisy trials of the
-//! Figure-2 recovery cycle (the §2.2 transversal-Toffoli extended
-//! rectangle) and of the compiled level-1/level-2 concatenated programs,
-//! scalar backend vs 64-lanes-per-word batch backend — selected purely via
-//! [`McOptions::backend`], same trial budget. Throughput is reported in
-//! trials per second (`Throughput::Elements` = trials per iteration).
+//! Noisy trials of the Figure-2 recovery cycle (the §2.2
+//! transversal-Toffoli extended rectangle) and of the compiled
+//! level-1/level-2 concatenated programs on the engine's word loop, plus
+//! the per-trial scalar executor against one raw 64-lane batch run.
+//! Throughput is reported in trials per second (`Throughput::Elements` =
+//! trials per iteration).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rft_analysis::prelude::*;
@@ -21,12 +21,14 @@ fn toffoli() -> Gate {
     }
 }
 
-fn opts(trials: u64, backend: BackendKind) -> McOptions {
-    McOptions::new(trials).seed(1).threads(1).backend(backend)
+fn opts(trials: u64) -> McOptions {
+    McOptions::new(trials)
+        .seed(1)
+        .threads(1)
+        .backend(BackendKind::Batch)
 }
 
-/// Figure-2 recovery cycle (27 wires, 27 ops): scalar vs batch backend,
-/// single thread, identical trial budget.
+/// Figure-2 recovery cycle (27 wires, 27 ops), single thread.
 fn fig2_cycle_throughput(c: &mut Criterion) {
     let mut group = c.benchmark_group("batch_fig2_cycle");
     group.sample_size(10);
@@ -34,18 +36,14 @@ fn fig2_cycle_throughput(c: &mut Criterion) {
     let noise = UniformNoise::new(1.0 / 165.0);
     const TRIALS: u64 = 4_096;
     group.throughput(Throughput::Elements(TRIALS));
-    group.bench_function("scalar_4k_trials", |b| {
-        let o = opts(TRIALS, BackendKind::Scalar);
-        b.iter(|| black_box(estimate_cycle_error(&spec, &noise, &o).failures));
-    });
     group.bench_function("batch_4k_trials", |b| {
-        let o = opts(TRIALS, BackendKind::Batch);
+        let o = opts(TRIALS);
         b.iter(|| black_box(estimate_cycle_error(&spec, &noise, &o).failures));
     });
     group.finish();
 }
 
-/// Compiled concatenated programs at levels 1 and 2: scalar vs batch.
+/// Compiled concatenated programs at levels 1 and 2.
 fn concat_mc_throughput(c: &mut Criterion) {
     let mut group = c.benchmark_group("batch_concat_mc");
     group.sample_size(10);
@@ -54,12 +52,8 @@ fn concat_mc_throughput(c: &mut Criterion) {
         let mc = ConcatMc::new(level, toffoli(), 1);
         let trials: u64 = if level == 1 { 4_096 } else { 512 };
         group.throughput(Throughput::Elements(trials));
-        group.bench_with_input(BenchmarkId::new("scalar", level), &level, |b, _| {
-            let o = opts(trials, BackendKind::Scalar);
-            b.iter(|| black_box(mc.estimate(&noise, &o).failures));
-        });
         group.bench_with_input(BenchmarkId::new("batch", level), &level, |b, _| {
-            let o = opts(trials, BackendKind::Batch);
+            let o = opts(trials);
             b.iter(|| black_box(mc.estimate(&noise, &o).failures));
         });
     }

@@ -70,15 +70,6 @@ fn circuit_execution(c: &mut Criterion) {
             black_box(engine.run_scalar(&mut s, &mut rng).fault_count())
         });
     });
-    group.bench_function("noisy_geometric_g1e-3", |b| {
-        use rand::rngs::SmallRng;
-        use rand::SeedableRng;
-        let mut rng = SmallRng::seed_from_u64(1);
-        b.iter(|| {
-            let mut s = BitState::zeros(n);
-            black_box(run_noisy_geometric(&circuit, &mut s, 1e-3, &mut rng).fault_count())
-        });
-    });
     group.finish();
 }
 

@@ -23,11 +23,12 @@
 //! `--json DIR` writes one schema-versioned `<id>.json` report per
 //! experiment plus a `manifest.json` (config, git describe, wall times);
 //! `--check` exits nonzero if any experiment self-check fails;
-//! `--backend` selects the engine execution backend (the default
-//! auto-routes by trial count); `--estimator` selects the Monte-Carlo
-//! estimator (`auto` routes deep-sub-threshold points to fault-count-
-//! stratified rare-event sampling); `--rel-error` enables adaptive early
-//! stopping at the given target relative standard error.
+//! `--backend` sets the backend label reports carry (the default `auto`
+//! reads `batch` from 256 trials up; results never depend on it);
+//! `--estimator` selects the Monte-Carlo estimator (`auto` routes
+//! deep-sub-threshold points to fault-count-stratified rare-event
+//! sampling); `--rel-error` enables adaptive early stopping at the given
+//! target relative standard error.
 //!
 //! Observability: per-experiment progress lines go to stderr by default
 //! (`--quiet` silences them); `--trace FILE` records spans from the

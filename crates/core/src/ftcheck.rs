@@ -12,7 +12,7 @@ use rand::{Rng, RngCore};
 use rft_revsim::batch::kernels::majority3;
 use rft_revsim::batch::BatchState;
 use rft_revsim::circuit::Circuit;
-use rft_revsim::engine::{failure_mask_in, PlannedFaultBackend, WordTrial};
+use rft_revsim::engine::{failure_mask_in, WordTrial};
 use rft_revsim::fault::{double_fault_plans, single_fault_plans, FaultPlan};
 use rft_revsim::permutation::Permutation;
 use rft_revsim::state::BitState;
@@ -226,7 +226,7 @@ impl CycleSpec {
             for input in 0..n_inputs {
                 sweep.runs += 1;
                 let mut state = self.encode_input(input);
-                PlannedFaultBackend::new(&plan).run_state(&self.circuit, &mut state);
+                plan.run(&self.circuit, &mut state);
                 let worst_block = self
                     .output_errors(input, &state)
                     .into_iter()
@@ -256,7 +256,7 @@ impl CycleSpec {
         for plan in double_fault_plans(&self.circuit) {
             for input in 0..(1u64 << self.n_logical()) {
                 let mut state = self.encode_input(input);
-                PlannedFaultBackend::new(&plan).run_state(&self.circuit, &mut state);
+                plan.run(&self.circuit, &mut state);
                 if self
                     .output_errors(input, &state)
                     .into_iter()

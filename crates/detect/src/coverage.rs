@@ -22,7 +22,6 @@
 //! comparator's own last-gate gap.
 
 use crate::checker::CheckedCircuit;
-use rft_revsim::engine::PlannedFaultBackend;
 use rft_revsim::fault::FaultPlan;
 use rft_revsim::state::BitState;
 use rft_revsim::wire::Wire;
@@ -179,7 +178,7 @@ pub fn exhaustive_coverage(
                 }
                 let plan = FaultPlan::single(t, pattern as u8);
                 let mut state = entry.clone();
-                PlannedFaultBackend::new(&plan).run_state(circuit, &mut state);
+                plan.run(circuit, &mut state);
                 let harmful = outputs
                     .iter()
                     .zip(&ideal_outputs)

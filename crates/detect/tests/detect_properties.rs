@@ -66,9 +66,8 @@ proptest! {
     }
 }
 
-/// The engine's planned-fault runs and the batch Monte-Carlo path agree
-/// with the scalar reference: a checked adder estimated at the same seed
-/// is bit-identical across backends and widths.
+/// A checked adder estimated at the same seed is bit-identical across
+/// backend labels, word widths and thread counts.
 #[test]
 fn estimates_are_backend_and_width_invariant() {
     use rft_revsim::engine::{BackendKind, WordWidth};

@@ -15,7 +15,7 @@ use crate::circuit::Circuit;
 /// What happened during one noisy batch run (sampled faults via
 /// [`Engine::run_batch`](crate::engine::Engine::run_batch) or a
 /// precomputed conditional schedule via
-/// [`Backend::run_masked`](crate::engine::Backend::run_masked)).
+/// [`Engine::run_batch_masked`](crate::engine::Engine::run_batch_masked)).
 ///
 /// The `faulted_lanes` masks drive two elisions in the engine's hot
 /// loops: elision-eligible trials judge only faulted lanes, and the

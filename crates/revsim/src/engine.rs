@@ -1,9 +1,7 @@
 //! The unified execution engine: compile once, run many.
 //!
 //! Every consumer of the simulator — the Monte-Carlo estimators, the
-//! experiment harness, benches and examples — funnels through this module
-//! instead of choosing between the scalar executors ([`crate::exec`]) and
-//! the bit-parallel batch executors ([`crate::batch`]) by hand.
+//! experiment harness, benches and examples — funnels through this module.
 //!
 //! The pieces:
 //!
@@ -12,33 +10,36 @@
 //!   binomial fault-mask samplers derived from a bound [`NoiseModel`].
 //!   Compiling is one pass over the circuit; an `Engine` is then reused
 //!   across as many runs as needed.
-//! - [`Backend`] — an object-safe execution strategy over 64-lane words:
-//!   [`ScalarBackend`] (the semantic reference: one [`BitState`] per lane,
-//!   ops applied scalarly), [`BatchBackend`] (branch-free bit-plane
-//!   kernels), and [`PlannedFaultBackend`] (deterministic fault injection
-//!   from a [`FaultPlan`], the exhaustive-proof path).
 //! - [`McOptions`] — the typed Monte-Carlo run configuration: `trials`,
-//!   `seed`, `threads`, an explicit or [`BackendKind::Auto`] backend with
-//!   a batch-routing threshold, and an optional target relative error
-//!   that enables adaptive early stopping.
+//!   `seed`, `threads`, a [`BackendKind`] label, a [`WordWidth`], an
+//!   [`Estimator`] policy, and an optional target relative error that
+//!   enables adaptive early stopping.
 //! - [`WordTrial`] — how a caller prepares 64 trial inputs and judges 64
-//!   outcomes; [`Engine::estimate`] drives it through the selected
-//!   backend, threaded and deterministically seeded.
-//! - [`Simulation`] — an `Engine` bound to its `McOptions`: the
-//!   compile-once/run-many handle for repeated estimates.
+//!   outcomes; [`Engine::estimate`] drives it through the word loop,
+//!   threaded and deterministically seeded.
 //!
-//! # Backend selection policy
+//! Deterministic fault injection for the exhaustive proofs is
+//! [`FaultPlan::run`](crate::fault::FaultPlan::run).
 //!
-//! [`BackendKind::Auto`] routes a run to [`BatchBackend`] when the trial
-//! budget reaches [`McOptions::batch_threshold`] (default
-//! [`DEFAULT_BATCH_THRESHOLD`] = 256 trials: four 64-lane words, enough to
-//! amortize plane packing) and to [`ScalarBackend`] below it.
+//! # One executor; `BackendKind` names the run
 //!
-//! Both Monte-Carlo backends consume the *same* random stream in the same
-//! order — one fault mask per operation per word, then one random plane
-//! per support wire of faulting words — so for a given seed they produce
-//! **bit-identical lanes**, not merely statistically equivalent ones. The
-//! property tests in `tests/batch_equivalence.rs` pin this down.
+//! Every estimate executes on the compiled micro-op program
+//! ([`crate::microop`]), `W ∈ {1, 2, 4}` 64-lane words per pass as
+//! [`WordWidth`] resolves. [`BackendKind`] does not pick an executor: it
+//! is the label a run reports in [`McOutcome::backend`].
+//! [`BackendKind::Auto`] reads `"batch"` from [`DEFAULT_BATCH_THRESHOLD`]
+//! (256) trials up and `"scalar"` below; explicit kinds pass through.
+//!
+//! Every word derives its RNG stream from `(seed, global word index)` and
+//! consumes it in one fixed order — the word's inputs, one fault mask per
+//! fallible operation, then one random plane per support wire of
+//! faulting operations — so a seed fixes the outcome at any width and
+//! thread count. The op-at-a-time loops behind [`Engine::run_batch`] and
+//! [`Engine::run_batch_masked_raw`] consume the same stream: they are the
+//! reference the compiled program is tested (`tests/microop_fusion.rs`)
+//! and benchmarked (`fused_vs_raw`) against, and
+//! `tests/batch_equivalence.rs` checks their masked kernel lane by lane
+//! against [`Op::apply`].
 //!
 //! # Rare-event estimation
 //!
@@ -90,9 +91,8 @@
 //! The scheme preserves the engine's determinism contract: strata
 //! allocation is a pure function of the seed-deterministic tallies, every
 //! word still derives its RNG stream from `(seed, global word index)`,
-//! and both Monte-Carlo backends execute one shared conditional mask
-//! schedule, so stratified results are bit-identical across backends and
-//! thread counts for a given seed.
+//! so stratified results are bit-identical across widths and thread
+//! counts for a given seed.
 //!
 //! # Examples
 //!
@@ -120,7 +120,7 @@
 //! let mut state = BitState::zeros(9);
 //! let report = engine.run_scalar(&mut state, &mut rng);
 //!
-//! // ...or 64 lanes at a time on the batch backend.
+//! // ...or 64 lanes at a time on the bit-plane kernels.
 //! let mut batch = BatchState::zeros(9, 1);
 //! let batch_report = engine.run_batch(&mut batch, &mut rng);
 //! assert_eq!(batch_report.faulted_lanes.len(), 1);
@@ -130,7 +130,6 @@
 use crate::batch::{kernels, BatchExecReport, BatchState};
 use crate::circuit::Circuit;
 use crate::exec::{ExecObserver, ExecReport, NullObserver};
-use crate::fault::FaultPlan;
 use crate::helpers;
 use crate::microop::{self, CompileStats, CompiledOps, ExecScratch};
 use crate::noise::NoiseModel;
@@ -145,8 +144,8 @@ use std::ops::Range;
 use std::str::FromStr;
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// Trial count at which [`BackendKind::Auto`] switches from the scalar to
-/// the batch backend (four 64-lane words).
+/// Trial count from which [`BackendKind::Auto`] labels a run `"batch"`
+/// rather than `"scalar"` (four 64-lane words).
 pub const DEFAULT_BATCH_THRESHOLD: u64 = 256;
 
 /// Default number of fault-count strata for [`Estimator::Stratified`]
@@ -579,8 +578,8 @@ fn place_uniform<R: Rng + ?Sized>(
     }
 }
 
-/// Executes the batch word loop for `circuit` under `table` — the single
-/// implementation behind [`Engine::run_batch`] and [`BatchBackend`].
+/// The op-at-a-time sampled word loop behind [`Engine::run_batch`]: the
+/// reference executor the compiled program is checked against.
 pub(crate) fn run_batch_words<R: Rng + ?Sized>(
     circuit: &Circuit,
     table: &FaultTable,
@@ -629,12 +628,9 @@ pub(crate) fn run_batch_words<R: Rng + ?Sized>(
 }
 
 /// Executes one 64-lane word under a **precomputed** per-op fault-mask
-/// schedule on the bit-plane kernels — the stratified estimator's batch
-/// execution path. Fault randomness is drawn from the **concrete**
-/// `SmallRng` (one plane per support wire of each masked op, in op
-/// order, fully inlinable — dynamic RNG dispatch costs ~30% here);
-/// the draw order matches [`run_masked_word_scalar`] exactly, so the two
-/// backends stay bit-identical under shared schedules.
+/// schedule, op at a time — the reference behind
+/// [`Engine::run_batch_masked_raw`]. Fault planes are drawn from `rng` in
+/// op order via [`fill_fault_planes`], as the compiled masked loop does.
 pub(crate) fn run_masked_word_batch(
     circuit: &Circuit,
     batch: &mut BatchState,
@@ -677,8 +673,8 @@ pub(crate) fn run_masked_word_batch(
 /// Fills the per-support-wire random planes a masked op consumes. In the
 /// common sparse case — a single faulted lane — only `arity` random
 /// *bits* are needed, so one `u64` draw covers them; otherwise one full
-/// plane per support wire is drawn. Part of the shared backend schedule:
-/// both masked runners call this in the same op order.
+/// plane per support wire is drawn. Part of the shared masked schedule:
+/// the compiled and the raw masked loops call this in the same op order.
 #[inline]
 pub(crate) fn fill_fault_planes(
     arity: usize,
@@ -699,72 +695,12 @@ pub(crate) fn fill_fault_planes(
     }
 }
 
-/// Scalar twin of [`run_masked_word_batch`]: unpacks every lane into a
-/// [`BitState`] and replays the identical fault schedule and random-plane
-/// stream one lane at a time.
-pub(crate) fn run_masked_word_scalar(
-    circuit: &Circuit,
-    batch: &mut BatchState,
-    masks: &[u64],
-    rng: &mut SmallRng,
-) -> BatchExecReport {
-    assert_eq!(
-        batch.words_per_wire(),
-        1,
-        "masked execution drives single-word batches"
-    );
-    assert_eq!(
-        batch.n_wires(),
-        circuit.n_wires(),
-        "batch width must match circuit width"
-    );
-    assert_eq!(
-        masks.len(),
-        circuit.len(),
-        "mask schedule does not match this circuit"
-    );
-    let mut lanes: Vec<BitState> = (0..64).map(|l| batch.lane(l)).collect();
-    let mut report = BatchExecReport {
-        fault_events: 0,
-        faulted_lanes: vec![0; 1],
-    };
-    for (op, &fault) in circuit.ops().iter().zip(masks) {
-        if fault == 0 {
-            for state in &mut lanes {
-                op.apply(state);
-            }
-            continue;
-        }
-        let mut rand_planes = [0u64; 4];
-        fill_fault_planes(op.arity(), fault, rng, &mut rand_planes);
-        let support = op.support();
-        let wires = support.as_slice();
-        for (lane, state) in lanes.iter_mut().enumerate() {
-            if (fault >> lane) & 1 == 1 {
-                let mut pattern = 0u8;
-                for (k, _) in wires.iter().enumerate() {
-                    pattern |= (((rand_planes[k] >> lane) & 1) as u8) << k;
-                }
-                state.write_pattern(wires, pattern);
-            } else {
-                op.apply(state);
-            }
-        }
-        report.fault_events += fault.count_ones() as u64;
-        report.faulted_lanes[0] |= fault;
-    }
-    for (lane, state) in lanes.iter().enumerate() {
-        batch.set_lane(lane, state);
-    }
-    report
-}
-
 // ---------------------------------------------------------------------------
 // Engine
 // ---------------------------------------------------------------------------
 
 /// A circuit compiled against a noise model: the compile-once artifact
-/// shared by every backend.
+/// every run executes.
 ///
 /// Owns the flattened op stream and the lowered fault table; build one
 /// with [`Engine::compile`] and reuse it for any number of runs.
@@ -923,15 +859,6 @@ impl Engine {
         self.fault_dist().mass_at_least(k as usize)
     }
 
-    /// Binds Monte-Carlo options, producing the run-many [`Simulation`]
-    /// handle.
-    pub fn with_options(self, options: McOptions) -> Simulation {
-        Simulation {
-            engine: self,
-            options,
-        }
-    }
-
     /// Runs one noisy scalar trial on `state` (classic per-trial
     /// semantics: one uniform draw per fallible operation; a faulting
     /// operation randomizes its support instead of executing).
@@ -981,8 +908,9 @@ impl Engine {
         report
     }
 
-    /// Runs the compiled circuit over every lane of `batch` on the
-    /// bit-parallel backend.
+    /// Runs the circuit over every lane of `batch`, op at a time on the
+    /// bit-plane kernels — the reference the compiled word loop is
+    /// checked against.
     ///
     /// # Panics
     ///
@@ -1004,8 +932,8 @@ impl Engine {
     /// on a single-word batch — one fault-mask draw per fallible op, then
     /// one random plane per support wire of faulting ops — so lanes are
     /// bit-identical to `W` independent raw runs at the same seeds. This
-    /// is the word loop behind [`Engine::estimate`] on the batch backend;
-    /// it is public so benches can compare it against the raw path.
+    /// is the word loop behind [`Engine::estimate`]; it is public so
+    /// benches can compare it against the raw path.
     ///
     /// # Panics
     ///
@@ -1057,10 +985,10 @@ impl Engine {
     ///
     /// `masks` uses the flat wide layout `masks[i * W + w]` = lanes in
     /// which op `i` faults in logical word `w` (for `W = 1` this is the
-    /// plain per-op schedule of [`Backend::run_masked`]). Logical word
-    /// `w` draws its fault planes from `rngs[w]` in op order via the
-    /// shared sparse schedule, so results are bit-identical to `W`
-    /// single-word [`Backend::run_masked`] calls.
+    /// plain per-op schedule of [`Engine::run_batch_masked_raw`]).
+    /// Logical word `w` draws its fault planes from `rngs[w]` in op order
+    /// via the shared sparse schedule, so results are bit-identical to
+    /// `W` single-word [`Engine::run_batch_masked_raw`] calls.
     ///
     /// # Panics
     ///
@@ -1108,13 +1036,14 @@ impl Engine {
         }
     }
 
-    /// The retired op-at-a-time masked word loop, kept as the raw
-    /// reference the compiled path is benchmarked and property-tested
-    /// against (`fused_vs_raw`); not part of any estimator path.
+    /// The op-at-a-time masked word loop, kept as the raw reference the
+    /// compiled path is benchmarked and property-tested against
+    /// (`fused_vs_raw`); not part of any estimator path.
     ///
     /// # Panics
     ///
-    /// Panics as [`Backend::run_masked`] on width/schedule mismatches.
+    /// Panics unless `batch` is one word wide and matches the circuit,
+    /// and `masks` has one entry per op.
     #[doc(hidden)]
     pub fn run_batch_masked_raw(
         &self,
@@ -1125,19 +1054,9 @@ impl Engine {
         run_masked_word_batch(&self.circuit, batch, masks, rng)
     }
 
-    /// Runs the compiled circuit injecting exactly the faults in `plan`
-    /// (the noise binding is ignored; see [`PlannedFaultBackend`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the widths mismatch or a planned index is out of range.
-    pub fn run_planned(&self, state: &mut BitState, plan: &FaultPlan) {
-        PlannedFaultBackend::new(plan).run_state(&self.circuit, state);
-    }
-
     /// Monte-Carlo estimation: runs `opts.trials` independent trials of
-    /// `trial` through the backend selected by `opts`, and counts failing
-    /// lanes.
+    /// `trial` on the compiled word loop at the width `opts` resolves,
+    /// and counts failing lanes.
     ///
     /// With `opts.threads > 1`, each round's words are shared between the
     /// calling thread and up to `opts.threads − 1` persistent helper
@@ -1148,13 +1067,13 @@ impl Engine {
     /// threads never makes a small estimate meaningfully slower.
     ///
     /// Trials are packed 64 per word; each word derives its RNG from
-    /// `opts.seed` and the word index, so results are **deterministic per
-    /// seed, thread count and backend** (scalar and batch consume
-    /// identical streams). With [`McOptions::target_rel_error`] set, estimation
-    /// stops early once the estimated relative standard error of the
-    /// failure rate reaches the target; stopping happens at fixed
-    /// thread-independent round boundaries, so even early-stopped results
-    /// are a function of the seed alone.
+    /// `opts.seed` and the word index, so results are **a function of the
+    /// seed alone**, the same at any thread count and width. With
+    /// [`McOptions::target_rel_error`] set, estimation stops early once
+    /// the estimated relative standard error of the failure rate reaches
+    /// the target; stopping happens at fixed thread-independent round
+    /// boundaries, so even early-stopped results are a function of the
+    /// seed alone.
     ///
     /// # Panics
     ///
@@ -1191,18 +1110,13 @@ impl Engine {
         );
         let _span = obs.span_metric("engine.estimate", Metric::EstimateNanos);
         obs.incr(Metric::EstimateCalls);
-        let kind = opts.backend.resolve(opts.trials, opts.batch_threshold);
-        let path = match kind {
-            BackendKind::Batch => ExecPath::Batch {
-                width: opts.width.resolve(kind),
-            },
-            _ => ExecPath::Scalar,
+        let run = Run {
+            width: opts.width.resolve(),
+            backend: opts.backend.resolve(opts.trials).name(),
         };
-        if matches!(path, ExecPath::Batch { .. }) {
-            // Force the lazy IR lowering here so its cost is attributed
-            // to `engine.lower` instead of bleeding into the word loops.
-            self.compiled_obs(obs);
-        }
+        // Force the lazy IR lowering here so its cost is attributed to
+        // `engine.lower` instead of bleeding into the word loops.
+        self.compiled_obs(obs);
         let resolved = match opts.estimator {
             Estimator::Auto => {
                 let m = trial.min_failing_faults();
@@ -1233,16 +1147,16 @@ impl Engine {
                      faults, but this trial reports that fault-free words can fail \
                      (WordTrial::fault_free_can_fail); use min_faults = 0 or Estimator::Plain"
                 );
-                self.estimate_stratified(path, trial, opts, min_faults, strata_cap, obs)
+                self.estimate_stratified(run, trial, opts, min_faults, strata_cap, obs)
             }
-            _ => self.estimate_plain(path, trial, opts, obs),
+            _ => self.estimate_plain(run, trial, opts, obs),
         }
     }
 
     /// The classic estimator: every requested trial is executed.
     fn estimate_plain<T: WordTrial + ?Sized>(
         &self,
-        backend: ExecPath,
+        run: Run,
         trial: &T,
         opts: &McOptions,
         obs: &Collector,
@@ -1261,7 +1175,8 @@ impl Engine {
         let mut early_stopped = false;
         while done < total_words {
             let n = round_words.min(total_words - done);
-            let (f, e, x) = self.run_word_span(backend, trial, opts, done, done + n, threads, obs);
+            let (f, e, x) =
+                self.run_word_span(run.width, trial, opts, done, done + n, threads, obs);
             failures += f;
             executed += e;
             extras.merge(x);
@@ -1281,7 +1196,7 @@ impl Engine {
             trials: executed,
             requested: opts.trials,
             early_stopped,
-            backend: backend.name(),
+            backend: run.backend,
             estimator: "plain",
             sample_weight: 1.0,
             executed_words: done,
@@ -1300,7 +1215,7 @@ impl Engine {
     #[allow(clippy::too_many_arguments)]
     fn run_word_span<T: WordTrial + ?Sized>(
         &self,
-        backend: ExecPath,
+        width: usize,
         trial: &T,
         opts: &McOptions,
         start: u64,
@@ -1308,10 +1223,14 @@ impl Engine {
         threads: usize,
         obs: &Collector,
     ) -> (u64, u64, WordExtras) {
-        helpers::run_chunked(threads, end - start, backend.chunk_words(), |claims| {
+        helpers::run_chunked(threads, end - start, chunk_words(width), |claims| {
             let _s = obs.span("engine.words");
             let words = claims.map(|r| start + r.start..start + r.end);
-            self.run_word_range(backend, trial, opts, words)
+            match width {
+                2 => self.run_word_range_wide::<T, 2>(trial, opts, words),
+                4 => self.run_word_range_wide::<T, 4>(trial, opts, words),
+                _ => self.run_word_range_wide::<T, 1>(trial, opts, words),
+            }
         })
         .into_iter()
         .fold(
@@ -1323,63 +1242,10 @@ impl Engine {
         )
     }
 
-    /// Runs the word ranges of `words` sequentially, dispatching to the
-    /// legacy scalar reference loop or the compiled wide word loop.
-    fn run_word_range<T: WordTrial + ?Sized>(
-        &self,
-        backend: ExecPath,
-        trial: &T,
-        opts: &McOptions,
-        words: impl Iterator<Item = Range<u64>>,
-    ) -> (u64, u64, WordExtras) {
-        match backend {
-            ExecPath::Scalar => self.run_word_range_scalar(trial, opts, words),
-            ExecPath::Batch { width: 2 } => self.run_word_range_wide::<T, 2>(trial, opts, words),
-            ExecPath::Batch { width: 4 } => self.run_word_range_wide::<T, 4>(trial, opts, words),
-            ExecPath::Batch { .. } => self.run_word_range_wide::<T, 1>(trial, opts, words),
-        }
-    }
-
-    /// The scalar reference word loop (one [`BitState`] per lane).
-    fn run_word_range_scalar<T: WordTrial + ?Sized>(
-        &self,
-        trial: &T,
-        opts: &McOptions,
-        words: impl Iterator<Item = Range<u64>>,
-    ) -> (u64, u64, WordExtras) {
-        let n_wires = self.circuit.n_wires();
-        let mut batch = BatchState::zeros(n_wires, 1);
-        let mut inputs: Vec<u64> = Vec::new();
-        // Fault-free lanes of an elision-eligible trial can never fail:
-        // judging then only needs to decode the faulted lanes.
-        let judge_faulted_only = !trial.fault_free_can_fail();
-        let mut failures = 0u64;
-        let mut executed = 0u64;
-        let mut extras = WordExtras::default();
-        for word in words.flatten() {
-            let mut rng =
-                SmallRng::seed_from_u64(opts.seed ^ WORD_SEED_STRIDE.wrapping_mul(word + 1));
-            batch.clear();
-            trial.prepare_into(&mut batch, &mut rng, &mut inputs);
-            let report = ScalarBackend.run(self, &mut batch, &mut rng);
-            let valid = valid_lanes(opts.trials, word);
-            extras.fault_events += report.fault_events;
-            extras.faulted_lanes += (report.faulted_lanes[0] & valid).count_ones() as u64;
-            let candidates = if judge_faulted_only {
-                report.faulted_lanes[0] & valid
-            } else {
-                valid
-            };
-            failures += trial.judge_masked(&batch, &inputs, candidates).count_ones() as u64;
-            executed += valid.count_ones() as u64;
-        }
-        (failures, executed, extras)
-    }
-
     /// The compiled word loop: `W` logical words per iteration through
     /// the fused micro-op program, each word on its own seed-derived RNG
-    /// stream (so results are bit-identical to the `W = 1` loop and to
-    /// the scalar reference, at any width and thread count).
+    /// stream (so results are bit-identical to the `W = 1` loop at any
+    /// width and thread count).
     fn run_word_range_wide<T: WordTrial + ?Sized, const W: usize>(
         &self,
         trial: &T,
@@ -1458,7 +1324,7 @@ impl Engine {
     #[allow(clippy::too_many_arguments)]
     fn estimate_stratified<T: WordTrial + ?Sized>(
         &self,
-        backend: ExecPath,
+        run: Run,
         trial: &T,
         opts: &McOptions,
         min_faults: u32,
@@ -1481,7 +1347,7 @@ impl Engine {
                 trials: opts.trials,
                 requested: opts.trials,
                 early_stopped: false,
-                backend: backend.name(),
+                backend: run.backend,
                 estimator: "stratified",
                 sample_weight,
                 executed_words: 0,
@@ -1547,7 +1413,7 @@ impl Engine {
                 assignment: &assignment,
             };
             let (tallies, round_extras) =
-                self.run_stratified_span(backend, trial, opts, &layout, threads, obs);
+                self.run_stratified_span(run.width, trial, opts, &layout, threads, obs);
             extras.merge(round_extras);
             extras.masked_words += round;
             for (s, (f, n)) in strata.iter_mut().zip(&tallies) {
@@ -1572,7 +1438,7 @@ impl Engine {
             trials: strata.iter().map(|s| s.trials).sum(),
             requested: opts.trials,
             early_stopped,
-            backend: backend.name(),
+            backend: run.backend,
             estimator: "stratified",
             sample_weight,
             executed_words: next_word,
@@ -1590,7 +1456,7 @@ impl Engine {
     /// Returns per-stratum `(failures, trials)`.
     fn run_stratified_span<T: WordTrial + ?Sized>(
         &self,
-        backend: ExecPath,
+        width: usize,
         trial: &T,
         opts: &McOptions,
         round: &StratifiedRound<'_>,
@@ -1598,10 +1464,14 @@ impl Engine {
         obs: &Collector,
     ) -> (Vec<(u64, u64)>, WordExtras) {
         let len = round.assignment.len() as u64;
-        helpers::run_chunked(threads, len, backend.chunk_words(), |claims| {
+        helpers::run_chunked(threads, len, chunk_words(width), |claims| {
             let _s = obs.span("engine.words");
             let slots = claims.map(|r| r.start as usize..r.end as usize);
-            self.run_stratified_range(backend, trial, opts, round, slots)
+            match width {
+                2 => self.run_stratified_range_wide::<T, 2>(trial, opts, round, slots),
+                4 => self.run_stratified_range_wide::<T, 4>(trial, opts, round, slots),
+                _ => self.run_stratified_range_wide::<T, 1>(trial, opts, round, slots),
+            }
         })
         .into_iter()
         .fold(
@@ -1620,95 +1490,10 @@ impl Engine {
         )
     }
 
-    /// Sequential stratified word loop over the assignment slots of
-    /// `slots`, dispatched by execution path.
-    fn run_stratified_range<T: WordTrial + ?Sized>(
-        &self,
-        backend: ExecPath,
-        trial: &T,
-        opts: &McOptions,
-        round: &StratifiedRound<'_>,
-        slots: impl Iterator<Item = Range<usize>>,
-    ) -> (Vec<(u64, u64)>, WordExtras) {
-        match backend {
-            ExecPath::Scalar => self.run_stratified_range_scalar(trial, opts, round, slots),
-            ExecPath::Batch { width: 2 } => {
-                self.run_stratified_range_wide::<T, 2>(trial, opts, round, slots)
-            }
-            ExecPath::Batch { width: 4 } => {
-                self.run_stratified_range_wide::<T, 4>(trial, opts, round, slots)
-            }
-            ExecPath::Batch { .. } => {
-                self.run_stratified_range_wide::<T, 1>(trial, opts, round, slots)
-            }
-        }
-    }
-
-    /// Scalar reference stratified loop (per-lane replay of the shared
-    /// conditional mask schedule).
-    fn run_stratified_range_scalar<T: WordTrial + ?Sized>(
-        &self,
-        trial: &T,
-        opts: &McOptions,
-        round: &StratifiedRound<'_>,
-        slots: impl Iterator<Item = Range<usize>>,
-    ) -> (Vec<(u64, u64)>, WordExtras) {
-        let dist = self.fault_dist();
-        let n_wires = self.circuit.n_wires();
-        let mut batch = BatchState::zeros(n_wires, 1);
-        let mut inputs: Vec<u64> = Vec::new();
-        let mut masks: Vec<u64> = vec![0; self.circuit.len()];
-        let mut touched: Vec<u32> = Vec::new();
-        let mut chosen: Vec<u32> = Vec::new();
-        let mut scratch: Vec<usize> = Vec::new();
-        let mut tallies = vec![(0u64, 0u64); round.plan.strata.len()];
-        let mut extras = WordExtras::default();
-        for i in slots.flatten() {
-            let si = round.assignment[i] as usize;
-            let word = round.base_word + i as u64;
-            let mut rng =
-                SmallRng::seed_from_u64(opts.seed ^ WORD_SEED_STRIDE.wrapping_mul(word + 1));
-            batch.clear();
-            trial.prepare_into(&mut batch, &mut rng, &mut inputs);
-            // Conditional mask schedule: per lane, draw the fault count
-            // (fixed for explicit strata, CDF draw in the tail) and place
-            // the faults via the exact conditional distribution.
-            for &t in &touched {
-                masks[t as usize] = 0;
-            }
-            touched.clear();
-            for lane in 0..64u32 {
-                let k = round.plan.fault_count(si, &mut rng);
-                dist.sample_exact(k, &mut rng, &mut chosen, &mut scratch);
-                for &op in &chosen {
-                    if masks[op as usize] == 0 {
-                        touched.push(op);
-                    }
-                    masks[op as usize] |= 1u64 << lane;
-                }
-            }
-            let report = ScalarBackend.run_masked(self, &mut batch, &masks, &mut rng);
-            let valid = valid_lanes(opts.trials, word);
-            extras.fault_events += report.fault_events;
-            extras.faulted_lanes += (report.faulted_lanes[0] & valid).count_ones() as u64;
-            // With `min_faults = 0` on an elision-ineligible trial, clean
-            // lanes can still fail and must be judged.
-            let candidates = if trial.fault_free_can_fail() {
-                valid
-            } else {
-                report.faulted_lanes[0] & valid
-            };
-            let failed = trial.judge_masked(&batch, &inputs, candidates);
-            tallies[si].0 += failed.count_ones() as u64;
-            tallies[si].1 += valid.count_ones() as u64;
-        }
-        (tallies, extras)
-    }
-
     /// Compiled stratified word loop: `W` conditioned logical words per
     /// iteration through the fused micro-op program. Per word, the RNG
     /// stream (prepare → conditional count/placement draws → fault
-    /// planes in op order) matches the scalar reference exactly.
+    /// planes in op order) is the same at every width.
     fn run_stratified_range_wide<T: WordTrial + ?Sized, const W: usize>(
         &self,
         trial: &T,
@@ -2087,332 +1872,20 @@ fn converged(failures: u64, executed: u64, target: f64) -> bool {
     ((1.0 - p) / failures as f64).sqrt() <= target
 }
 
-// ---------------------------------------------------------------------------
-// Backends
-// ---------------------------------------------------------------------------
-
-/// Resolved execution strategy of one estimation run: the scalar
-/// reference loop, or the compiled micro-op word loop at a fixed wide
-/// width. (The [`Backend`] trait remains the public, object-safe face;
-/// the word loops dispatch on this enum so the batch path can use the
-/// concrete fused runners.)
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ExecPath {
-    /// The scalar reference backend.
-    Scalar,
-    /// The compiled batch backend at wide width `width ∈ {1, 2, 4}`.
-    Batch { width: usize },
-}
-
-impl ExecPath {
-    fn name(self) -> &'static str {
-        match self {
-            ExecPath::Scalar => "scalar",
-            ExecPath::Batch { .. } => "batch",
-        }
-    }
-
-    /// Words per claim when a span is shared across threads: two passes
-    /// of the word loop, so claims stay aligned to the word width.
-    fn chunk_words(self) -> u64 {
-        match self {
-            ExecPath::Scalar => 2,
-            ExecPath::Batch { width } => 2 * width as u64,
-        }
-    }
-}
-
-/// An execution strategy over 64-lane words.
-///
-/// Implementations run the engine's compiled circuit over every lane of a
-/// [`BatchState`] and report which lanes saw at least one fault. The two
-/// Monte-Carlo backends draw from `rng` in an identical order, so a given
-/// seed yields bit-identical lanes on either.
-pub trait Backend: Sync {
-    /// Short stable name (reported in [`McOutcome::backend`]).
-    fn name(&self) -> &'static str;
-
-    /// Runs `engine`'s circuit over every lane of `batch`.
-    fn run(
-        &self,
-        engine: &Engine,
-        batch: &mut BatchState,
-        rng: &mut dyn RngCore,
-    ) -> BatchExecReport;
-
-    /// Runs `engine`'s circuit over the single plane word of `batch`
-    /// under a **precomputed** per-op fault-mask schedule (`masks[i]` =
-    /// lanes in which op `i` faults) — the stratified estimator's
-    /// conditional execution path. Implementations draw exactly one
-    /// random plane per support wire of each masked op, in op order, so
-    /// the Monte-Carlo backends stay bit-identical under shared
-    /// schedules. The RNG is the concrete [`SmallRng`]: this loop is hot
-    /// enough that dynamic RNG dispatch costs ~30%.
-    ///
-    /// The default panics: backends that sample their own faults (e.g.
-    /// [`PlannedFaultBackend`]) do not take external schedules.
-    fn run_masked(
-        &self,
-        engine: &Engine,
-        batch: &mut BatchState,
-        masks: &[u64],
-        rng: &mut SmallRng,
-    ) -> BatchExecReport {
-        let _ = (engine, batch, masks, rng);
-        unimplemented!(
-            "the {} backend does not support masked fault schedules",
-            self.name()
-        )
-    }
-}
-
-/// The scalar reference backend: every lane is unpacked into its own
-/// [`BitState`] and ops are applied one lane at a time, replaying the
-/// batch backend's word-level fault schedule exactly.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ScalarBackend;
-
-impl Backend for ScalarBackend {
-    fn name(&self) -> &'static str {
-        "scalar"
-    }
-
-    fn run(
-        &self,
-        engine: &Engine,
-        batch: &mut BatchState,
-        rng: &mut dyn RngCore,
-    ) -> BatchExecReport {
-        let circuit = &engine.circuit;
-        assert_eq!(
-            batch.n_wires(),
-            circuit.n_wires(),
-            "batch width must match circuit width"
-        );
-        let words = batch.words_per_wire();
-        let mut lanes: Vec<BitState> = (0..batch.lanes()).map(|l| batch.lane(l)).collect();
-        let mut report = BatchExecReport {
-            fault_events: 0,
-            faulted_lanes: vec![0; words],
-        };
-        for (i, op) in circuit.ops().iter().enumerate() {
-            let sampler_idx = engine.table.sampler_of[i];
-            if sampler_idx == NEVER {
-                for state in &mut lanes {
-                    op.apply(state);
-                }
-                continue;
-            }
-            let sampler = &engine.table.samplers[sampler_idx];
-            let support = op.support();
-            let wires = support.as_slice();
-            for word in 0..words {
-                let fault = sampler.sample(rng);
-                if fault == 0 {
-                    for state in &mut lanes[word * 64..(word + 1) * 64] {
-                        op.apply(state);
-                    }
-                    continue;
-                }
-                let mut rand_planes = [0u64; 4];
-                for plane in rand_planes.iter_mut().take(op.arity()) {
-                    *plane = rng.random::<u64>();
-                }
-                for (lane, state) in lanes[word * 64..(word + 1) * 64].iter_mut().enumerate() {
-                    if (fault >> lane) & 1 == 1 {
-                        let mut pattern = 0u8;
-                        for (k, _) in wires.iter().enumerate() {
-                            pattern |= (((rand_planes[k] >> lane) & 1) as u8) << k;
-                        }
-                        state.write_pattern(wires, pattern);
-                    } else {
-                        op.apply(state);
-                    }
-                }
-                report.fault_events += fault.count_ones() as u64;
-                report.faulted_lanes[word] |= fault;
-            }
-        }
-        for (lane, state) in lanes.iter().enumerate() {
-            batch.set_lane(lane, state);
-        }
-        report
-    }
-
-    fn run_masked(
-        &self,
-        engine: &Engine,
-        batch: &mut BatchState,
-        masks: &[u64],
-        rng: &mut SmallRng,
-    ) -> BatchExecReport {
-        run_masked_word_scalar(&engine.circuit, batch, masks, rng)
-    }
-}
-
-/// The bit-parallel backend: branch-free plane kernels, 64 lanes per
-/// machine word — the fast path for large trial budgets.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BatchBackend;
-
-impl Backend for BatchBackend {
-    fn name(&self) -> &'static str {
-        "batch"
-    }
-
-    fn run(
-        &self,
-        engine: &Engine,
-        batch: &mut BatchState,
-        rng: &mut dyn RngCore,
-    ) -> BatchExecReport {
-        run_batch_words(&engine.circuit, &engine.table, batch, rng)
-    }
-
-    fn run_masked(
-        &self,
-        engine: &Engine,
-        batch: &mut BatchState,
-        masks: &[u64],
-        rng: &mut SmallRng,
-    ) -> BatchExecReport {
-        // Routed through the compiled micro-op program: fused linear
-        // segments skip their kernels entirely when the schedule leaves
-        // them clean, and faults are pushed to the segment boundary by
-        // the precomputed propagation pairs — bit-identical to the raw
-        // op-at-a-time loop (see `tests/microop_fusion.rs`).
-        assert_eq!(
-            batch.words_per_wire(),
-            1,
-            "masked execution drives single-word batches"
-        );
-        assert_eq!(
-            batch.n_wires(),
-            engine.circuit.n_wires(),
-            "batch width must match circuit width"
-        );
-        assert_eq!(
-            masks.len(),
-            engine.circuit.len(),
-            "mask schedule does not match this circuit"
-        );
-        let mut scratch = ExecScratch::default();
-        let rngs: &mut [SmallRng; 1] = std::slice::from_mut(rng)
-            .try_into()
-            .expect("one RNG for one word");
-        let out =
-            microop::run_masked_wide::<1>(engine.compiled(), batch, masks, rngs, &mut scratch);
-        BatchExecReport {
-            fault_events: out.fault_events,
-            faulted_lanes: out.faulted.to_vec(),
-        }
-    }
-}
-
-/// Deterministic fault injection: every lane takes exactly the faults of
-/// one [`FaultPlan`] (a planned fault writes its pattern onto the
-/// operation's support instead of executing it). Randomness is never
-/// consumed; the exhaustive single/double-fault proofs are built on this.
+/// What one estimation run resolved its options to: the word-loop width
+/// and the backend label it reports.
 #[derive(Debug, Clone, Copy)]
-pub struct PlannedFaultBackend<'p> {
-    plan: &'p FaultPlan,
+struct Run {
+    /// Wide-word width `W ∈ {1, 2, 4}`.
+    width: usize,
+    /// [`McOutcome::backend`].
+    backend: &'static str,
 }
 
-impl<'p> PlannedFaultBackend<'p> {
-    /// A backend injecting exactly `plan`.
-    pub fn new(plan: &'p FaultPlan) -> Self {
-        PlannedFaultBackend { plan }
-    }
-
-    /// The bound plan.
-    pub fn plan(&self) -> &FaultPlan {
-        self.plan
-    }
-
-    /// Runs `circuit` on a single scalar `state` with the planned faults —
-    /// the workhorse of the exhaustive fault sweeps, where one `(input,
-    /// plan)` pair is one run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the widths mismatch or a planned index is out of range.
-    pub fn run_state(&self, circuit: &Circuit, state: &mut BitState) {
-        assert_eq!(
-            state.len(),
-            circuit.n_wires(),
-            "state width must match circuit width"
-        );
-        self.check_plan(circuit);
-        for (i, op) in circuit.ops().iter().enumerate() {
-            match self.plan.pattern_for(i) {
-                Some(pattern) => {
-                    let support = op.support();
-                    state.write_pattern(support.as_slice(), pattern);
-                }
-                None => op.apply(state),
-            }
-        }
-    }
-
-    fn check_plan(&self, circuit: &Circuit) {
-        for fault in self.plan.faults() {
-            assert!(
-                fault.op_index < circuit.len(),
-                "planned fault targets op {} but circuit has {} ops",
-                fault.op_index,
-                circuit.len()
-            );
-        }
-    }
-}
-
-impl Backend for PlannedFaultBackend<'_> {
-    fn name(&self) -> &'static str {
-        "planned"
-    }
-
-    fn run(
-        &self,
-        engine: &Engine,
-        batch: &mut BatchState,
-        _rng: &mut dyn RngCore,
-    ) -> BatchExecReport {
-        let circuit = &engine.circuit;
-        assert_eq!(
-            batch.n_wires(),
-            circuit.n_wires(),
-            "batch width must match circuit width"
-        );
-        self.check_plan(circuit);
-        let words = batch.words_per_wire();
-        let mut report = BatchExecReport {
-            fault_events: 0,
-            faulted_lanes: vec![0; words],
-        };
-        for (i, op) in circuit.ops().iter().enumerate() {
-            match self.plan.pattern_for(i) {
-                Some(pattern) => {
-                    let support = op.support();
-                    for (k, &wire) in support.as_slice().iter().enumerate() {
-                        let plane = if (pattern >> k) & 1 == 1 { u64::MAX } else { 0 };
-                        for word in 0..words {
-                            batch.set_word(wire, word, plane);
-                        }
-                    }
-                    report.fault_events += batch.lanes() as u64;
-                    for mask in report.faulted_lanes.iter_mut() {
-                        *mask = u64::MAX;
-                    }
-                }
-                None => {
-                    for word in 0..words {
-                        kernels::apply_word(batch, op, word);
-                    }
-                }
-            }
-        }
-        report
-    }
+/// Words per claim when a span is shared across threads: two passes of
+/// the word loop, so claims stay aligned to the word width.
+fn chunk_words(width: usize) -> u64 {
+    2 * width as u64
 }
 
 // ---------------------------------------------------------------------------
@@ -2532,43 +2005,44 @@ impl FromStr for Estimator {
     }
 }
 
-/// Which backend an estimation run should use.
+/// The backend label a run reports in [`McOutcome::backend`]. Every run
+/// executes on the same compiled word loop (see the module docs); the
+/// label is kept so requests, records and reports keep their shape.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum BackendKind {
-    /// Route by trial count: batch at or above the threshold, scalar
-    /// below it.
+    /// `Batch` from [`DEFAULT_BATCH_THRESHOLD`] trials up, `Scalar` below.
     #[default]
     Auto,
-    /// Always the scalar reference backend.
+    /// Always labelled `"scalar"`.
     Scalar,
-    /// Always the bit-parallel batch backend.
+    /// Always labelled `"batch"`.
     Batch,
 }
 
 impl BackendKind {
     /// Resolves `Auto` against a trial budget; explicit kinds pass
     /// through.
-    pub fn resolve(self, trials: u64, batch_threshold: u64) -> BackendKind {
+    pub fn resolve(self, trials: u64) -> BackendKind {
         match self {
-            BackendKind::Auto => {
-                if trials >= batch_threshold {
-                    BackendKind::Batch
-                } else {
-                    BackendKind::Scalar
-                }
-            }
+            BackendKind::Auto if trials >= DEFAULT_BATCH_THRESHOLD => BackendKind::Batch,
+            BackendKind::Auto => BackendKind::Scalar,
             explicit => explicit,
+        }
+    }
+
+    /// The lowercase name ([`fmt::Display`] writes the same).
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            BackendKind::Auto => "auto",
+            BackendKind::Scalar => "scalar",
+            BackendKind::Batch => "batch",
         }
     }
 }
 
 impl fmt::Display for BackendKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            BackendKind::Auto => "auto",
-            BackendKind::Scalar => "scalar",
-            BackendKind::Batch => "batch",
-        })
+        f.write_str(self.name())
     }
 }
 
@@ -2587,7 +2061,7 @@ impl FromStr for BackendKind {
     }
 }
 
-/// Wide-word width of the batch word loops: how many consecutive 64-lane
+/// Wide-word width of the word loop: how many consecutive 64-lane
 /// logical words one pass of the compiled micro-op program executes
 /// (`[u64; W]` planes, autovectorization-friendly).
 ///
@@ -2597,7 +2071,7 @@ impl FromStr for BackendKind {
 /// nothing but throughput.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum WordWidth {
-    /// Full width (4) on the batch backend, 1 on the scalar reference.
+    /// Full width (4).
     #[default]
     Auto,
     /// One 64-lane word per pass.
@@ -2609,12 +2083,8 @@ pub enum WordWidth {
 }
 
 impl WordWidth {
-    /// Resolves to a concrete width for `backend` (the scalar reference
-    /// always runs one word at a time).
-    pub fn resolve(self, backend: BackendKind) -> usize {
-        if !matches!(backend, BackendKind::Batch) {
-            return 1;
-        }
+    /// Resolves to a concrete width.
+    pub fn resolve(self) -> usize {
         match self {
             WordWidth::Auto | WordWidth::W4 => 4,
             WordWidth::W1 => 1,
@@ -2675,15 +2145,13 @@ pub struct McOptions {
     /// Threads per round, the caller included (`0` is treated as `1`);
     /// capped by the persistent helper pool, see [`Engine::estimate`].
     pub threads: usize,
-    /// Backend selection policy.
+    /// Backend label policy (never changes results; see
+    /// [`BackendKind`]).
     pub backend: BackendKind,
-    /// Trial count at which [`BackendKind::Auto`] routes to the batch
-    /// backend.
-    pub batch_threshold: u64,
     /// Estimator selection policy ([`Estimator::Auto`] routes eligible
     /// deep-sub-threshold runs to the stratified rare-event estimator).
     pub estimator: Estimator,
-    /// Wide-word width of the batch word loops (never changes results;
+    /// Wide-word width of the word loop (never changes results;
     /// see [`WordWidth`]).
     pub width: WordWidth,
     /// Target relative standard error of the failure-rate estimate; when
@@ -2693,15 +2161,14 @@ pub struct McOptions {
 
 impl McOptions {
     /// Options for `trials` trials with defaults: seed 0, one thread,
-    /// auto backend at [`DEFAULT_BATCH_THRESHOLD`], auto estimator, no
-    /// early stopping.
+    /// auto backend label, auto width, auto estimator, no early
+    /// stopping.
     pub fn new(trials: u64) -> Self {
         McOptions {
             trials,
             seed: 0,
             threads: 1,
             backend: BackendKind::Auto,
-            batch_threshold: DEFAULT_BATCH_THRESHOLD,
             estimator: Estimator::Auto,
             width: WordWidth::Auto,
             target_rel_error: None,
@@ -2733,15 +2200,9 @@ impl McOptions {
         self
     }
 
-    /// Sets the backend selection policy.
+    /// Sets the backend label policy.
     pub fn backend(mut self, backend: BackendKind) -> Self {
         self.backend = backend;
-        self
-    }
-
-    /// Sets the auto-routing threshold.
-    pub fn batch_threshold(mut self, threshold: u64) -> Self {
-        self.batch_threshold = threshold;
         self
     }
 
@@ -2804,7 +2265,8 @@ pub struct McOutcome {
     pub requested: u64,
     /// Whether adaptive early stopping cut the run short.
     pub early_stopped: bool,
-    /// Name of the backend that executed the run.
+    /// The run's resolved [`BackendKind`] label (`"scalar"` or
+    /// `"batch"`).
     pub backend: &'static str,
     /// Name of the estimator that produced the run (`"plain"` or
     /// `"stratified"`; [`Estimator::Auto`] reports its resolution).
@@ -2989,43 +2451,6 @@ pub fn failure_mask_in(
     failed
 }
 
-// ---------------------------------------------------------------------------
-// Simulation: engine + options
-// ---------------------------------------------------------------------------
-
-/// An [`Engine`] bound to its [`McOptions`]: the compile-once/run-many
-/// handle. Build with [`Engine::with_options`], then call
-/// [`Simulation::run`] as often as needed.
-#[must_use = "a Simulation does nothing until run"]
-#[derive(Debug, Clone)]
-pub struct Simulation {
-    engine: Engine,
-    options: McOptions,
-}
-
-impl Simulation {
-    /// The compiled engine.
-    pub fn engine(&self) -> &Engine {
-        &self.engine
-    }
-
-    /// The bound options.
-    pub fn options(&self) -> &McOptions {
-        &self.options
-    }
-
-    /// Replaces the bound options.
-    pub fn reconfigure(mut self, options: McOptions) -> Self {
-        self.options = options;
-        self
-    }
-
-    /// Runs one estimation with the bound options.
-    pub fn run<T: WordTrial + ?Sized>(&self, trial: &T) -> McOutcome {
-        self.engine.estimate(trial, &self.options)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -3108,52 +2533,6 @@ mod tests {
         let report = engine.run_batch(&mut batch, &mut rng);
         assert_eq!(report.fault_events, (c.len() * 64) as u64);
         assert_eq!(report.faulted_lanes, vec![u64::MAX]);
-    }
-
-    #[test]
-    fn scalar_and_batch_backends_agree_lane_by_lane() {
-        // Identical seeds ⇒ bit-identical final states *and* reports —
-        // the backends share one fault schedule by construction.
-        let c = recovery_like_circuit();
-        let engine = Engine::compile(&c, &UniformNoise::new(0.07));
-        for seed in 0..20u64 {
-            let mut scalar = BatchState::zeros(9, 2);
-            let mut batch = BatchState::zeros(9, 2);
-            let mut rng_s = SmallRng::seed_from_u64(seed);
-            let mut rng_b = SmallRng::seed_from_u64(seed);
-            let rs = ScalarBackend.run(&engine, &mut scalar, &mut rng_s);
-            let rb = BatchBackend.run(&engine, &mut batch, &mut rng_b);
-            assert_eq!(rs, rb, "seed {seed}: reports differ");
-            assert_eq!(scalar, batch, "seed {seed}: states differ");
-        }
-    }
-
-    #[test]
-    fn planned_backend_matches_scalar_plan_run() {
-        let c = recovery_like_circuit();
-        let engine = Engine::compile(&c, &NoNoise);
-        let plan = FaultPlan::single(3, 0b101);
-        let backend = PlannedFaultBackend::new(&plan);
-        // Scalar reference.
-        let mut state = BitState::zeros(9);
-        backend.run_state(&c, &mut state);
-        // Batch run on zeroed lanes.
-        let mut batch = BatchState::zeros(9, 1);
-        let mut rng = SmallRng::seed_from_u64(0);
-        let report = backend.run(&engine, &mut batch, &mut rng);
-        assert_eq!(report.faulted_lanes, vec![u64::MAX]);
-        for lane in [0usize, 17, 63] {
-            assert_eq!(batch.lane(lane), state, "lane {lane}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "planned fault targets op")]
-    fn planned_out_of_range_panics() {
-        let c = Circuit::new(1);
-        let mut s = BitState::zeros(1);
-        let plan = FaultPlan::single(0, 0);
-        PlannedFaultBackend::new(&plan).run_state(&c, &mut s);
     }
 
     #[test]
@@ -3285,27 +2664,14 @@ mod tests {
         );
         assert_eq!("batch".parse::<BackendKind>().unwrap(), BackendKind::Batch);
         assert!("simd".parse::<BackendKind>().is_err());
-        assert_eq!(BackendKind::Auto.resolve(256, 256), BackendKind::Batch);
-        assert_eq!(BackendKind::Auto.resolve(255, 256), BackendKind::Scalar);
-        assert_eq!(
-            BackendKind::Scalar.resolve(1 << 20, 256),
-            BackendKind::Scalar
-        );
-        assert_eq!(BackendKind::Batch.resolve(1, 256), BackendKind::Batch);
-    }
-
-    #[test]
-    fn simulation_binds_options() {
-        let c = recovery_like_circuit();
-        let sim =
-            Engine::compile(&c, &UniformNoise::new(0.25)).with_options(McOptions::new(640).seed(5));
-        let trial = Wire0Trial { n_wires: 9 };
-        let a = sim.run(&trial);
-        let b = sim.run(&trial);
-        assert_eq!(a, b);
-        assert_eq!(sim.options().trials, 640);
-        let sim = sim.reconfigure(McOptions::new(64).seed(5));
-        assert_eq!(sim.run(&trial).trials, 64);
+        assert_eq!(BackendKind::Auto.resolve(256), BackendKind::Batch);
+        assert_eq!(BackendKind::Auto.resolve(255), BackendKind::Scalar);
+        assert_eq!(BackendKind::Scalar.resolve(1 << 20), BackendKind::Scalar);
+        assert_eq!(BackendKind::Batch.resolve(1), BackendKind::Batch);
+        for kind in [BackendKind::Auto, BackendKind::Scalar, BackendKind::Batch] {
+            assert_eq!(kind.to_string(), kind.name());
+            assert_eq!(kind.name().parse::<BackendKind>().unwrap(), kind);
+        }
     }
 
     /// A sound stratified trial: random full-width inputs, failure = the
@@ -3631,9 +2997,8 @@ mod tests {
 
     #[test]
     fn fused_masked_run_matches_raw_masked_reference() {
-        // `BatchBackend::run_masked` routes through the compiled
-        // micro-op program; the retired op-at-a-time loop stays as the
-        // raw reference it must match bit for bit.
+        // The compiled masked loop must match the op-at-a-time raw
+        // reference bit for bit.
         let c = recovery_like_circuit();
         let engine = Engine::compile(&c, &UniformNoise::new(0.05));
         for seed in 0..10u64 {
@@ -3647,31 +3012,9 @@ mod tests {
             let mut rng_r = SmallRng::seed_from_u64(seed);
             let mut rng_f = SmallRng::seed_from_u64(seed);
             let rr = run_masked_word_batch(&c, &mut raw, &masks, &mut rng_r);
-            let rf = BatchBackend.run_masked(&engine, &mut fused, &masks, &mut rng_f);
+            let rf = engine.run_batch_masked(&mut fused, &masks, std::slice::from_mut(&mut rng_f));
             assert_eq!(rr, rf, "seed {seed}: reports differ");
             assert_eq!(raw, fused, "seed {seed}: states differ");
-        }
-    }
-
-    #[test]
-    fn masked_backends_agree_on_shared_schedules() {
-        let c = recovery_like_circuit();
-        let engine = Engine::compile(&c, &UniformNoise::new(0.05));
-        for seed in 0..10u64 {
-            let mut masks = vec![0u64; c.len()];
-            let mut seeder = SmallRng::seed_from_u64(seed.wrapping_mul(77));
-            for m in masks.iter_mut() {
-                // Sparse random schedule.
-                *m = seeder.random::<u64>() & seeder.random::<u64>() & seeder.random::<u64>();
-            }
-            let mut scalar = BatchState::zeros(9, 1);
-            let mut batch = BatchState::zeros(9, 1);
-            let mut rng_s = SmallRng::seed_from_u64(seed);
-            let mut rng_b = SmallRng::seed_from_u64(seed);
-            let rs = ScalarBackend.run_masked(&engine, &mut scalar, &masks, &mut rng_s);
-            let rb = BatchBackend.run_masked(&engine, &mut batch, &masks, &mut rng_b);
-            assert_eq!(rs, rb, "seed {seed}: reports differ");
-            assert_eq!(scalar, batch, "seed {seed}: states differ");
         }
     }
 

@@ -1,5 +1,5 @@
-//! Scalar circuit executors: ideal runs, the geometric fast path, and the
-//! observer hooks shared with [`crate::engine`].
+//! Scalar circuit executors: ideal runs and the observer hooks shared
+//! with [`crate::engine`].
 //!
 //! Fault semantics follow the paper exactly: a failing operation does not
 //! execute; instead every bit in its support is replaced by an independent
@@ -7,11 +7,10 @@
 //! outputs", §4). A failing initialization likewise leaves random bits
 //! instead of zeros.
 //!
-//! Noisy and planned-fault execution live on the [`Engine`] facade
-//! ([`Engine::run_scalar`], [`Engine::run_scalar_observed`],
-//! [`PlannedFaultBackend`](crate::engine::PlannedFaultBackend)): compile
-//! once and reuse across runs instead of re-deriving fault probabilities
-//! per call.
+//! Noisy execution lives on the [`Engine`] facade ([`Engine::run_scalar`],
+//! [`Engine::run_scalar_observed`]): compile once and reuse across runs
+//! instead of re-deriving fault probabilities per call. Planned-fault
+//! execution is [`FaultPlan::run`](crate::fault::FaultPlan::run).
 //!
 //! [`Engine`]: crate::engine::Engine
 //! [`Engine::run_scalar`]: crate::engine::Engine::run_scalar
@@ -20,7 +19,6 @@
 use crate::circuit::Circuit;
 use crate::state::BitState;
 use crate::wire::Wire;
-use rand::Rng;
 
 /// What happened during one noisy run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -69,75 +67,10 @@ pub fn run_ideal(circuit: &Circuit, state: &mut BitState) {
     circuit.run(state);
 }
 
-/// Runs `circuit` with a uniform fault rate `g`, skipping fault-free
-/// stretches geometrically. Statistically identical to
-/// [`Engine::run_scalar`](crate::engine::Engine::run_scalar) under
-/// [`UniformNoise`](crate::noise::UniformNoise) but much faster when `g`
-/// is small (the common regime: the paper's thresholds are `1/108` and
-/// below).
-///
-/// # Panics
-///
-/// Panics if `g` is not in `[0, 1)` or the widths mismatch.
-pub fn run_noisy_geometric<R>(
-    circuit: &Circuit,
-    state: &mut BitState,
-    g: f64,
-    rng: &mut R,
-) -> ExecReport
-where
-    R: Rng + ?Sized,
-{
-    assert!(
-        (0.0..1.0).contains(&g),
-        "geometric execution requires g in [0,1), got {g}"
-    );
-    assert_eq!(
-        state.len(),
-        circuit.n_wires(),
-        "state width must match circuit width"
-    );
-    let mut report = ExecReport::default();
-    let ops = circuit.ops();
-    if g == 0.0 {
-        for op in ops {
-            op.apply(state);
-        }
-        return report;
-    }
-    let log1m = (-g).ln_1p(); // ln(1 - g) < 0
-    let mut next_fault = sample_gap(rng, log1m);
-    let mut i = 0usize;
-    while i < ops.len() {
-        if next_fault == 0 {
-            let support = ops[i].support();
-            state.randomize(support.as_slice(), rng);
-            report.faults.push(i);
-            next_fault = sample_gap(rng, log1m);
-        } else {
-            ops[i].apply(state);
-            next_fault -= 1;
-        }
-        i += 1;
-    }
-    report
-}
-
-/// Samples the number of successes before the next failure:
-/// `floor(ln(U) / ln(1-g))`.
-#[inline]
-fn sample_gap<R: Rng + ?Sized>(rng: &mut R, log1m: f64) -> u64 {
-    let u: f64 = rng.random::<f64>();
-    // Guard against u == 0 (ln -> -inf) by resampling the smallest positive.
-    let u = if u > 0.0 { u } else { f64::MIN_POSITIVE };
-    (u.ln() / log1m) as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{Engine, PlannedFaultBackend};
-    use crate::fault::FaultPlan;
+    use crate::engine::Engine;
     use crate::noise::{NoNoise, UniformNoise};
     use crate::wire::w;
     use rand::rngs::SmallRng;
@@ -173,29 +106,6 @@ mod tests {
     }
 
     #[test]
-    fn planned_fault_overrides_one_op() {
-        let mut c = Circuit::new(3);
-        c.not(w(0)).not(w(1));
-        let mut s = BitState::zeros(3);
-        // op 0 "fails" leaving 0 on its support; op 1 runs normally.
-        PlannedFaultBackend::new(&FaultPlan::single(0, 0)).run_state(&c, &mut s);
-        assert!(!s.get(w(0)));
-        assert!(s.get(w(1)));
-    }
-
-    #[test]
-    fn planned_fault_pattern_maps_to_support_order() {
-        let mut c = Circuit::new(3);
-        c.maj(w(2), w(0), w(1)); // support order: q2, q0, q1
-        let mut s = BitState::zeros(3);
-        PlannedFaultBackend::new(&FaultPlan::single(0, 0b011)).run_state(&c, &mut s);
-        // bit0 of pattern -> q2, bit1 -> q0, bit2 -> q1
-        assert!(s.get(w(2)));
-        assert!(s.get(w(0)));
-        assert!(!s.get(w(1)));
-    }
-
-    #[test]
     fn observer_sees_pre_init_values() {
         struct Recorder(Vec<(usize, u8)>);
         impl ExecObserver for Recorder {
@@ -212,48 +122,6 @@ mod tests {
         // Before the init, wires held (1,0,1) -> pattern 0b101.
         assert_eq!(rec.0, vec![(2, 0b101)]);
         assert_eq!(s.count_ones(), 0);
-    }
-
-    #[test]
-    fn geometric_matches_bernoulli_statistically() {
-        // Mean number of faults over many runs should agree within a few
-        // standard errors for both executors.
-        let c = recovery_like_circuit();
-        let g = 0.05;
-        let trials = 4000;
-        let mut rng = SmallRng::seed_from_u64(42);
-        let engine = Engine::compile(&c, &UniformNoise::new(g));
-        let mut bernoulli_total = 0usize;
-        let mut geometric_total = 0usize;
-        for _ in 0..trials {
-            let mut s = BitState::zeros(9);
-            bernoulli_total += engine.run_scalar(&mut s, &mut rng).fault_count();
-            let mut s = BitState::zeros(9);
-            geometric_total += run_noisy_geometric(&c, &mut s, g, &mut rng).fault_count();
-        }
-        let expected = g * c.len() as f64 * trials as f64;
-        let sd = (trials as f64 * c.len() as f64 * g * (1.0 - g)).sqrt();
-        let tol = 5.0 * sd;
-        assert!(
-            ((bernoulli_total as f64) - expected).abs() < tol,
-            "bernoulli {bernoulli_total} vs expected {expected}"
-        );
-        assert!(
-            ((geometric_total as f64) - expected).abs() < tol,
-            "geometric {geometric_total} vs expected {expected}"
-        );
-    }
-
-    #[test]
-    fn geometric_zero_noise_is_ideal() {
-        let c = recovery_like_circuit();
-        let mut s = BitState::from_u64(0b111, 9);
-        let mut rng = SmallRng::seed_from_u64(5);
-        let report = run_noisy_geometric(&c, &mut s, 0.0, &mut rng);
-        assert!(report.faults.is_empty());
-        let mut s2 = BitState::from_u64(0b111, 9);
-        run_ideal(&c, &mut s2);
-        assert_eq!(s, s2);
     }
 
     #[test]

@@ -6,9 +6,11 @@
 //! verify it exhaustively: a failed operation replaces the values on its
 //! support with *any* of the `2^arity` patterns, so enumerating every
 //! `(operation, pattern)` pair covers every possible single-fault outcome.
+//! [`FaultPlan::run`] executes one such outcome deterministically.
 
 use crate::circuit::Circuit;
 use crate::op::Op;
+use crate::state::BitState;
 use serde::{Deserialize, Serialize};
 
 /// One planned fault: operation `op_index` fails and leaves `pattern` on its
@@ -80,6 +82,36 @@ impl FaultPlan {
             .iter()
             .find(|f| f.op_index == op_index)
             .map(|f| f.pattern)
+    }
+
+    /// Runs `circuit` on `state` with exactly these faults: a planned op
+    /// writes its pattern onto its support instead of executing, every
+    /// other op runs ideally. No randomness is consumed — one `(input,
+    /// plan)` pair is one run of the exhaustive fault sweeps.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the widths mismatch or a planned index is out of range.
+    pub fn run(&self, circuit: &Circuit, state: &mut BitState) {
+        assert_eq!(
+            state.len(),
+            circuit.n_wires(),
+            "state width must match circuit width"
+        );
+        for fault in &self.faults {
+            assert!(
+                fault.op_index < circuit.len(),
+                "planned fault targets op {} but circuit has {} ops",
+                fault.op_index,
+                circuit.len()
+            );
+        }
+        for (i, op) in circuit.ops().iter().enumerate() {
+            match self.pattern_for(i) {
+                Some(pattern) => state.write_pattern(op.support().as_slice(), pattern),
+                None => op.apply(state),
+            }
+        }
     }
 }
 
@@ -187,6 +219,45 @@ mod tests {
         assert_eq!(plan.pattern_for(3), Some(0b101));
         assert_eq!(plan.pattern_for(2), None);
         assert!(FaultPlan::none().is_empty());
+    }
+
+    #[test]
+    fn planned_fault_overrides_one_op() {
+        let mut c = Circuit::new(3);
+        c.not(w(0)).not(w(1));
+        let mut s = BitState::zeros(3);
+        // op 0 "fails" leaving 0 on its support; op 1 runs normally.
+        FaultPlan::single(0, 0).run(&c, &mut s);
+        assert!(!s.get(w(0)));
+        assert!(s.get(w(1)));
+    }
+
+    #[test]
+    fn planned_fault_pattern_maps_to_support_order() {
+        let mut c = Circuit::new(3);
+        c.maj(w(2), w(0), w(1)); // support order: q2, q0, q1
+        let mut s = BitState::zeros(3);
+        FaultPlan::single(0, 0b011).run(&c, &mut s);
+        // bit0 of pattern -> q2, bit1 -> q0, bit2 -> q1
+        assert!(s.get(w(2)));
+        assert!(s.get(w(0)));
+        assert!(!s.get(w(1)));
+    }
+
+    #[test]
+    #[should_panic(expected = "planned fault targets op")]
+    fn planned_out_of_range_panics() {
+        let c = Circuit::new(1);
+        let mut s = BitState::zeros(1);
+        FaultPlan::single(0, 0).run(&c, &mut s);
+    }
+
+    #[test]
+    #[should_panic(expected = "state width")]
+    fn planned_width_mismatch_panics() {
+        let c = Circuit::new(3);
+        let mut s = BitState::zeros(4);
+        FaultPlan::none().run(&c, &mut s);
     }
 
     #[test]

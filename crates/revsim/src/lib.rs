@@ -21,24 +21,21 @@
 //! - **the unified execution engine ([`engine`])** — the single entry
 //!   point for noisy simulation: [`engine::Engine`] compiles a circuit
 //!   against a noise model once (flattened op stream + per-op fault
-//!   probabilities + exact binomial fault-mask samplers) and then runs it
-//!   many times through interchangeable [`engine::Backend`]s —
-//!   [`engine::ScalarBackend`] (per-lane reference),
-//!   [`engine::BatchBackend`] (64 lanes per machine word, branch-free
-//!   plane kernels) and [`engine::PlannedFaultBackend`] (deterministic
-//!   fault injection). Monte-Carlo runs take typed
-//!   [`engine::McOptions`] (`trials`/`seed`/`threads`, auto backend
-//!   routing above a trial threshold, optional adaptive early stopping at
-//!   a target relative error, and an [`engine::Estimator`] policy whose
+//!   probabilities + exact binomial fault-mask samplers) and runs every
+//!   Monte-Carlo estimate on one executor, the compiled micro-op program
+//!   ([`microop`]). Estimates take typed [`engine::McOptions`]
+//!   (`trials`/`seed`/`threads`, a [`engine::BackendKind`] label, a
+//!   word width, optional adaptive early stopping at a target relative
+//!   error, and an [`engine::Estimator`] policy whose
 //!   fault-count-stratified mode makes deep-sub-threshold rare-event
-//!   rates tractable by eliding fault-free words analytically); both
-//!   Monte-Carlo backends share one RNG schedule, so a seed reproduces
-//!   bit-identical lanes on either;
-//! - scalar executors ([`exec`]) for ideal runs and the geometric
-//!   fast path, plus the low-level batch substrate ([`batch`]): wire-major
-//!   bit planes and kernels the engine executes on;
-//! - exhaustive fault enumeration ([`fault`]) used to *prove* (not sample)
-//!   the single-fault tolerance of recovery circuits.
+//!   rates tractable by eliding fault-free words analytically); a seed
+//!   reproduces the same outcome at any width and thread count;
+//! - scalar executors ([`exec`]) for ideal and per-trial noisy runs, plus
+//!   the low-level batch substrate ([`batch`]): wire-major bit planes and
+//!   kernels the engine executes on;
+//! - exhaustive fault enumeration and planned-fault runs ([`fault`]) used
+//!   to *prove* (not sample) the single-fault tolerance of recovery
+//!   circuits.
 //!
 //! # Examples
 //!
@@ -88,11 +85,10 @@ pub mod prelude {
     pub use crate::circuit::{Circuit, CircuitStats};
     pub use crate::diagram::render;
     pub use crate::engine::{
-        Backend, BackendKind, BatchBackend, Engine, Estimator, McOptions, McOutcome,
-        PlannedFaultBackend, ScalarBackend, Simulation, StratumOutcome, WordTrial, WordWidth,
+        BackendKind, Engine, Estimator, McOptions, McOutcome, StratumOutcome, WordTrial, WordWidth,
         DEFAULT_BATCH_THRESHOLD, DEFAULT_STRATA_CAP, STRATIFIED_ROUTING_THRESHOLD,
     };
-    pub use crate::exec::{run_ideal, run_noisy_geometric, ExecObserver, ExecReport};
+    pub use crate::exec::{run_ideal, ExecObserver, ExecReport};
     pub use crate::fault::{double_fault_plans, single_fault_plans, FaultPlan, PlannedFault};
     pub use crate::gate::{Gate, OpKind};
     pub use crate::microop::CompileStats;

@@ -943,7 +943,8 @@ pub(crate) fn run_sampled_wide<const W: usize>(
 /// order via the shared sparse
 /// [`fill_fault_planes`](crate::engine::fill_fault_planes) schedule, so
 /// the result is bit-identical to `W` single-word
-/// [`Backend::run_masked`](crate::engine::Backend::run_masked) runs.
+/// [`Engine::run_batch_masked_raw`](crate::engine::Engine::run_batch_masked_raw)
+/// runs.
 pub(crate) fn run_masked_wide<const W: usize>(
     compiled: &CompiledOps,
     batch: &mut BatchState,

@@ -1,8 +1,9 @@
-//! Scalar/batch equivalence through the unified engine: the bit-parallel
-//! backend must agree with the scalar reference **lane by lane** — exactly,
-//! not just statistically — because both backends consume one shared fault
-//! schedule. Ideal runs are checked against the scalar executor, and noisy
-//! runs across every backend on identical seeds.
+//! Bit-plane kernels against the scalar semantics, **lane by lane**:
+//! ideal runs against the scalar executor, every op kernel against
+//! `Op::apply`, and the masked kernel — the one place a fault is applied —
+//! against `Op::apply` on clean lanes and `BitState::write_pattern` on
+//! faulted ones. Estimates are checked to be the same under every backend
+//! label on identical seeds.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -68,7 +69,7 @@ fn arb_circuit(max_len: usize) -> impl Strategy<Value = Circuit> {
 }
 
 /// A trial whose failure criterion is simply "wire 0 ended up set" —
-/// enough to compare backend routing end to end.
+/// enough to compare backend labels end to end.
 struct Wire0Trial;
 
 impl WordTrial for Wire0Trial {
@@ -125,30 +126,51 @@ proptest! {
         }
     }
 
-    /// THE engine invariant: on identical seeds, the scalar and batch
-    /// backends produce bit-identical final states and reports for
-    /// arbitrary noisy circuits — the fault schedule is shared, so the
-    /// agreement is exact, lane by lane, not merely statistical.
+    /// The paper's fault semantics at the kernel: under an arbitrary
+    /// fault mask, `apply_word_masked` leaves every clean lane exactly as
+    /// `Op::apply` would, and overwrites every faulted lane's support with
+    /// that lane's random-plane bits — plane `k` on support wire `k`,
+    /// i.e. `BitState::write_pattern` of the bits in support order.
     #[test]
-    fn noisy_backends_agree_lane_by_lane(
-        c in arb_circuit(25),
+    fn masked_kernel_matches_scalar_fault_semantics(
+        op in arb_op(),
+        mask in any::<u64>(),
+        shape in 0u8..4,
         seed in 0u64..1_000_000,
-        g in 0.0f64..0.5,
     ) {
-        let engine = Engine::compile(&c, &UniformNoise::new(g));
-        let mut scalar = BatchState::zeros(N_WIRES, 2);
-        let mut batch = BatchState::zeros(N_WIRES, 2);
-        let mut rng_s = SmallRng::seed_from_u64(seed);
-        let mut rng_b = SmallRng::seed_from_u64(seed);
-        let rs = ScalarBackend.run(&engine, &mut scalar, &mut rng_s);
-        let rb = BatchBackend.run(&engine, &mut batch, &mut rng_b);
-        prop_assert_eq!(rs, rb, "reports differ");
-        prop_assert_eq!(scalar, batch, "states differ");
+        // Cover the kernel's no-fault and all-fault shortcuts, a single
+        // faulted lane, and a dense arbitrary mask.
+        let fault = match shape {
+            0 => 0,
+            1 => u64::MAX,
+            2 => 1u64 << (mask % 64),
+            _ => mask,
+        };
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let states: Vec<BitState> = (0..64)
+            .map(|_| BitState::from_u64(rng.random_range(0..(1u64 << N_WIRES)), N_WIRES))
+            .collect();
+        let planes: [u64; 4] = std::array::from_fn(|_| rng.random());
+        let mut batch = BatchState::from_states(&states);
+        kernels::apply_word_masked(&mut batch, &op, 0, fault, &planes);
+        let support = op.support();
+        let wires = support.as_slice();
+        for (lane, state) in states.iter().enumerate() {
+            let mut expect = state.clone();
+            if (fault >> lane) & 1 == 1 {
+                let pattern = (0..wires.len())
+                    .fold(0u8, |p, k| p | ((((planes[k] >> lane) & 1) as u8) << k));
+                expect.write_pattern(wires, pattern);
+            } else {
+                op.apply(&mut expect);
+            }
+            prop_assert_eq!(batch.lane(lane), expect, "lane {}", lane);
+        }
     }
 
-    /// The same invariant one layer up: `Engine::estimate` returns the
-    /// same failure count whichever backend `McOptions` forces (and
-    /// whatever the auto route picks), for the same seed.
+    /// `Engine::estimate` returns the same failure count whichever
+    /// backend label `McOptions` names (and whatever `auto` resolves to),
+    /// for the same seed.
     #[test]
     fn estimate_backends_agree_on_identical_seeds(
         c in arb_circuit(25),

@@ -71,7 +71,7 @@ fn cases() -> Vec<McOptions> {
         strata_cap: DEFAULT_STRATA_CAP,
     };
     let mut cases = vec![
-        // Under the batch threshold: the scalar reference loops.
+        // Under the batch threshold: labelled "scalar", same word loop.
         McOptions::new(200).estimator(Estimator::Plain),
         McOptions::new(200).estimator(stratified),
     ];

@@ -118,7 +118,7 @@ proptest! {
         let mut ideal = BitState::from_u64(input, N_WIRES);
         c.run(&mut ideal);
         let mut faulted = BitState::from_u64(input, N_WIRES);
-        PlannedFaultBackend::new(&FaultPlan::single(idx, pattern)).run_state(&c, &mut faulted);
+        FaultPlan::single(idx, pattern).run(&c, &mut faulted);
         prop_assert_eq!(ideal, faulted);
     }
 
@@ -145,7 +145,7 @@ proptest! {
         let mut a = BitState::from_u64(input, N_WIRES);
         let mut b = BitState::from_u64(input, N_WIRES);
         c.run(&mut a);
-        PlannedFaultBackend::new(&FaultPlan::none()).run_state(&c, &mut b);
+        FaultPlan::none().run(&c, &mut b);
         prop_assert_eq!(a, b);
     }
 

@@ -40,8 +40,8 @@ fn main() {
         for level in 0..=2u8 {
             let mc = ConcatMc::new(level, gate, cycles);
             let t = if level == 2 { trials / 4 } else { trials };
-            // One typed options value per point: the engine facade routes
-            // to the batch backend automatically at these budgets.
+            // One typed options value per point, run on the engine's
+            // compiled word loop.
             let opts = McOptions::new(t).seed(7).salt(g.to_bits()).threads(8);
             let (est, per_cycle) = mc.estimate_per_cycle(&noise, &opts);
             let _ = est;

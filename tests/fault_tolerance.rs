@@ -127,7 +127,7 @@ fn level_two_tolerates_any_single_physical_fault() {
         let expect = perm.apply(input);
         for plan in single_fault_plans(program.circuit()) {
             let mut s = encoded.clone();
-            PlannedFaultBackend::new(&plan).run_state(program.circuit(), &mut s);
+            plan.run(program.circuit(), &mut s);
             assert_eq!(
                 program.decode(&s).to_u64(),
                 expect,
