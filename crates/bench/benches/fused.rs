@@ -16,6 +16,13 @@
 //!   `clean` runs an all-clear schedule (the fused floor — what a
 //!   schedule-clean word costs), `sparse` a plain-MC-like `g = 10⁻³`
 //!   schedule. This is where fusion + wide words pay ≥ 2×.
+//!   `masked_dense_rotating` runs stratified-like schedules (4–7 faults
+//!   per lane) and cycles through 8 of them, so branch prediction cannot
+//!   learn one schedule the way it learns the fixed ones.
+//! - `stratified_schedule_only` and `stratified_judge_only` split the
+//!   level-2 stratified word into its other two phases: the fault-table
+//!   fill alone (conditional placement + plane draws, strata `k = 4..7+`
+//!   in turn) and judging one faulted word alone.
 //!
 //! Throughput is lanes (trials) per iteration so criterion's elements/s
 //! are comparable across widths. `stratified_width` times the full
@@ -41,6 +48,26 @@ fn streams() -> Vec<(&'static str, Circuit)> {
     let fig2 = transversal_cycle(&toffoli()).circuit().clone();
     let level2 = ConcatMc::new(2, toffoli(), 1).program().circuit().clone();
     vec![("fig2_27_ops", fig2), ("level2_585_ops", level2)]
+}
+
+/// Stratified-like schedules: in each of `W` words, every lane faults at
+/// 4–7 distinct ops (flat wide layout `masks[i * W + w]`).
+fn dense_schedule(n_ops: usize, width: usize, seeder: &mut SmallRng) -> Vec<u64> {
+    let mut masks = vec![0u64; n_ops * width];
+    for w in 0..width {
+        for lane in 0..64 {
+            let faults = seeder.random_range(4..8);
+            let mut placed = 0;
+            while placed < faults {
+                let slot = seeder.random_range(0..n_ops) * width + w;
+                if masks[slot] & (1u64 << lane) == 0 {
+                    masks[slot] |= 1u64 << lane;
+                    placed += 1;
+                }
+            }
+        }
+    }
+    masks
 }
 
 /// Raw vs fused word execution, sampled and masked paths.
@@ -125,8 +152,58 @@ fn fused_vs_raw(c: &mut Criterion) {
                 });
             });
         }
+        if name != "level2_585_ops" {
+            continue;
+        }
+        let schedules: Vec<Vec<u64>> = (0..8)
+            .map(|_| dense_schedule(n_ops, 4, &mut seeder))
+            .collect();
+        group.throughput(Throughput::Elements(256));
+        group.bench_function(format!("masked_dense_rotating_fused_w4/{name}"), |b| {
+            let mut rngs: [SmallRng; 4] =
+                std::array::from_fn(|k| SmallRng::seed_from_u64(7 + k as u64));
+            let mut batch = BatchState::zeros(n, 4);
+            let mut next = 0;
+            b.iter(|| {
+                next = (next + 1) % schedules.len();
+                black_box(
+                    engine
+                        .run_batch_masked(&mut batch, &schedules[next], &mut rngs[..])
+                        .fault_events,
+                )
+            });
+        });
     }
+    stratified_split(&mut group);
     group.finish();
+}
+
+/// The two non-kernel phases of a level-2 stratified word, timed alone.
+fn stratified_split(group: &mut criterion::BenchmarkGroup<'_>) {
+    let mc = ConcatMc::new(2, toffoli(), 1);
+    let engine = mc.engine(&UniformNoise::new(1e-3));
+    group.throughput(Throughput::Elements(256));
+    group.bench_function("stratified_schedule_only/level2", |b| {
+        let mut rngs: [SmallRng; 4] =
+            std::array::from_fn(|k| SmallRng::seed_from_u64(11 + k as u64));
+        let mut stratum = 0;
+        b.iter(|| {
+            stratum = (stratum + 1) % 4;
+            black_box(engine.schedule_stratified(4, 4, stratum, &mut rngs[..]))
+        });
+    });
+    // One word after a dense faulted run: every lane is a candidate, as
+    // in a stratified word.
+    let trial = mc.trial();
+    let mut batch = BatchState::zeros(engine.n_wires(), 1);
+    let mut rng = SmallRng::seed_from_u64(13);
+    let inputs = trial.prepare(&mut batch, &mut rng);
+    let masks = dense_schedule(engine.n_ops(), 1, &mut rng);
+    engine.run_batch_masked(&mut batch, &masks, std::slice::from_mut(&mut rng));
+    group.throughput(Throughput::Elements(64));
+    group.bench_function("stratified_judge_only/level2", |b| {
+        b.iter(|| black_box(trial.judge_masked(&batch, &inputs, u64::MAX)));
+    });
 }
 
 /// The full stratified (masked-schedule) estimate at widths 1 and 4 —

@@ -305,27 +305,6 @@ pub(crate) fn apply_wide<const W: usize>(state: &mut BatchState, op: &Op) {
     }
 }
 
-/// Blends the fault action of `op` into plane word `word`, assuming the
-/// *ideal* kernel has already been applied there: lanes in `fault` take
-/// the random bits `rand[k]` on the k-th support wire, other lanes keep
-/// the kernel output. Exactly [`apply_word_masked`]'s lane action,
-/// factored out so the wide runners can apply one vectorized ideal
-/// kernel across all words and pay the blend only on faulted words.
-#[inline]
-pub(crate) fn blend_faulted(
-    state: &mut BatchState,
-    op: &Op,
-    word: usize,
-    fault: u64,
-    rand: &[u64; 4],
-) {
-    let support = op.support();
-    for (k, &wire) in support.as_slice().iter().enumerate() {
-        let out = state.w(wire, word);
-        state.set_w(wire, word, (out & !fault) | (rand[k] & fault));
-    }
-}
-
 /// Applies `op` across every plane word (convenience for full-batch use).
 #[inline]
 pub fn apply(state: &mut BatchState, op: &Op) {

@@ -33,8 +33,9 @@
 //! Every word derives its RNG stream from `(seed, global word index)` and
 //! consumes it in one fixed order — the word's inputs, one fault mask per
 //! fallible operation, then one random plane per support wire of
-//! faulting operations — so a seed fixes the outcome at any width and
-//! thread count. The op-at-a-time loops behind [`Engine::run_batch`] and
+//! faulting operations, all drawn into a fault table before the word's
+//! group executes — so a seed fixes the outcome at any width and thread
+//! count. The op-at-a-time loops behind [`Engine::run_batch`] and
 //! [`Engine::run_batch_masked_raw`] consume the same stream: they are the
 //! reference the compiled program is tested (`tests/microop_fusion.rs`)
 //! and benchmarked (`fused_vs_raw`) against, and
@@ -139,6 +140,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
 use rft_obs::{Collector, Gauge, Hist, Metric};
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
 use std::fmt;
 use std::ops::Range;
 use std::str::FromStr;
@@ -182,6 +184,16 @@ const WORD_SEED_STRIDE: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// Marker for operations that never fault.
 pub(crate) const NEVER: usize = usize::MAX;
+
+thread_local! {
+    /// The one-shot runs' scratch ([`Engine::run_batch_fused`] and
+    /// friends), kept per thread so a call allocates nothing.
+    static SCRATCH: RefCell<ExecScratch> = RefCell::default();
+}
+
+fn with_scratch<T>(f: impl FnOnce(&mut ExecScratch) -> T) -> T {
+    SCRATCH.with(|scratch| f(&mut scratch.borrow_mut()))
+}
 
 // ---------------------------------------------------------------------------
 // Fault table: per-op probabilities + exact binomial mask samplers
@@ -266,6 +278,8 @@ pub(crate) struct FaultTable {
     pub(crate) probs: Vec<f64>,
     /// Sampler index per operation ([`NEVER`] = never faults).
     pub(crate) sampler_of: Vec<usize>,
+    /// Support size per operation (random planes a fault consumes).
+    pub(crate) arity: Vec<u8>,
     pub(crate) samplers: Vec<MaskSampler>,
     /// Fault probability per sampler (one per distinct nonzero rate).
     sampler_rates: Vec<f64>,
@@ -309,6 +323,7 @@ impl FaultTable {
         FaultTable {
             probs,
             sampler_of,
+            arity: circuit.ops().iter().map(|op| op.arity() as u8).collect(),
             samplers,
             sampler_rates,
             p_fault_free,
@@ -353,6 +368,8 @@ struct FaultGroup {
     ops: Vec<u32>,
     /// `Binomial(ops.len(), rate)` PMF, truncated like the total PMF.
     pmf: Vec<f64>,
+    /// Lemire rejection threshold of `random_range(0..ops.len())`.
+    threshold: u64,
 }
 
 /// `Binomial(n, p)` PMF by the stable multiplicative recurrence, truncated
@@ -431,6 +448,7 @@ impl FaultCountDist {
             .map(|_| FaultGroup {
                 ops: Vec::new(),
                 pmf: Vec::new(),
+                threshold: 0,
             })
             .collect();
         for (i, &s) in table.sampler_of.iter().enumerate() {
@@ -440,6 +458,8 @@ impl FaultCountDist {
         }
         for (group, &rate) in groups.iter_mut().zip(&table.sampler_rates) {
             group.pmf = binomial_pmf(group.ops.len(), rate);
+            let span = group.ops.len() as u64;
+            group.threshold = span.wrapping_neg() % span;
         }
         let m = groups.len();
         let mut suffix = vec![Vec::new(); m + 1];
@@ -477,7 +497,8 @@ impl FaultCountDist {
     }
 
     /// Samples the fault set of one lane conditioned on **exactly** `k`
-    /// faults, appending global op indices to `out` (cleared first).
+    /// faults, handing each chosen global op index to `place`, which
+    /// returns `false` for an op this lane already holds.
     ///
     /// Sequential conditional sampling over the rate groups: group `j`
     /// takes `t` faults with probability `B_j[t] · S_{j+1}[rem − t] /
@@ -487,10 +508,9 @@ impl FaultCountDist {
         &self,
         k: usize,
         rng: &mut R,
-        out: &mut Vec<u32>,
         scratch: &mut Vec<usize>,
+        mut place: impl FnMut(u32) -> bool,
     ) {
-        out.clear();
         let mut rem = k;
         let m = self.groups.len();
         for j in 0..m {
@@ -518,63 +538,70 @@ impl FaultCountDist {
                 }
                 chosen
             };
-            place_uniform(&group.ops, t, rng, out, scratch);
+            group.place_uniform(t, rng, scratch, &mut place);
             rem -= t;
         }
     }
 }
 
-/// Appends `t` distinct elements of `ops`, chosen uniformly, to `out`.
-/// Rejection sampling on the smaller of the set and its complement;
-/// `scratch` is a caller-owned buffer reused across calls.
-fn place_uniform<R: Rng + ?Sized>(
-    ops: &[u32],
-    t: usize,
-    rng: &mut R,
-    out: &mut Vec<u32>,
-    scratch: &mut Vec<usize>,
-) {
-    let n = ops.len();
-    debug_assert!(t <= n);
-    if t == 0 {
-        return;
-    }
-    if t == n {
-        out.extend_from_slice(ops);
-        return;
-    }
-    let (count, invert) = if 2 * t <= n {
-        (t, false)
-    } else {
-        (n - t, true)
-    };
-    // Inlined `random_range(0..n)` (Lemire widening multiply with a
-    // rejection zone) with the threshold modulo hoisted out of the
-    // placement loop — the draw stream and outputs are bit-identical to
-    // the `rand` call, without one hardware division per placement.
-    let span = n as u64;
-    let threshold = span.wrapping_neg() % span;
-    scratch.clear();
-    while scratch.len() < count {
-        let i = loop {
+impl FaultGroup {
+    /// Places `t` distinct ops of the group, chosen uniformly. Rejection
+    /// sampling on the smaller of the set and its complement: a draw
+    /// `place` refuses (an op already placed) is drawn again. `scratch`
+    /// is a caller-owned buffer reused across calls.
+    fn place_uniform<R: Rng + ?Sized>(
+        &self,
+        t: usize,
+        rng: &mut R,
+        scratch: &mut Vec<usize>,
+        place: &mut impl FnMut(u32) -> bool,
+    ) {
+        let n = self.ops.len();
+        debug_assert!(t <= n);
+        if t == 0 {
+            return;
+        }
+        if t == n {
+            for &op in &self.ops {
+                place(op);
+            }
+            return;
+        }
+        let (count, invert) = if 2 * t <= n {
+            (t, false)
+        } else {
+            (n - t, true)
+        };
+        // Inlined `random_range(0..n)` (Lemire widening multiply with a
+        // rejection zone, its threshold precomputed per group) — the draw
+        // stream and outputs are bit-identical to the `rand` call,
+        // without a hardware division per placement.
+        let span = n as u64;
+        let mut draw = || loop {
             let wide = (rng.random::<u64>() as u128) * (span as u128);
-            if (wide as u64) >= threshold {
+            if (wide as u64) >= self.threshold {
                 break (wide >> 64) as usize;
             }
         };
-        if !scratch.contains(&i) {
-            scratch.push(i);
+        if !invert {
+            let mut placed = 0;
+            while placed < count {
+                placed += usize::from(place(self.ops[draw()]));
+            }
+            return;
         }
-    }
-    if invert {
-        out.extend(
-            ops.iter()
-                .enumerate()
-                .filter(|(i, _)| !scratch.contains(i))
-                .map(|(_, &op)| op),
-        );
-    } else {
-        out.extend(scratch.iter().map(|&i| ops[i]));
+        scratch.clear();
+        while scratch.len() < count {
+            let i = draw();
+            if !scratch.contains(&i) {
+                scratch.push(i);
+            }
+        }
+        for (i, &op) in self.ops.iter().enumerate() {
+            if !scratch.contains(&i) {
+                place(op);
+            }
+        }
     }
 }
 
@@ -670,7 +697,8 @@ pub(crate) fn run_masked_word_batch(
     report
 }
 
-/// Fills the per-support-wire random planes a masked op consumes. In the
+/// Fills the per-support-wire random planes a masked op with a nonzero
+/// `fault` mask consumes (entries past `arity` are left unused). In the
 /// common sparse case — a single faulted lane — only `arity` random
 /// *bits* are needed, so one `u64` draw covers them; otherwise one full
 /// plane per support wire is drawn. Part of the shared masked schedule:
@@ -682,15 +710,16 @@ pub(crate) fn fill_fault_planes(
     rng: &mut SmallRng,
     rand_planes: &mut [u64; 4],
 ) {
-    if fault.count_ones() == 1 {
+    let first = rng.random::<u64>();
+    if fault & (fault - 1) == 0 {
         let lane = fault.trailing_zeros();
-        let bits = rng.random::<u64>();
-        for (k, plane) in rand_planes.iter_mut().enumerate().take(arity) {
-            *plane = ((bits >> k) & 1) << lane;
+        for (k, plane) in rand_planes.iter_mut().enumerate() {
+            *plane = ((first >> k) & 1) << lane;
         }
         return;
     }
-    for plane in rand_planes.iter_mut().take(arity) {
+    rand_planes[0] = first;
+    for plane in &mut rand_planes[1..arity] {
         *plane = rng.random::<u64>();
     }
 }
@@ -928,12 +957,14 @@ impl Engine {
     /// batch.words_per_wire() = rngs.len() ∈ {1, 2, 4}` and logical word
     /// `w` draws all of its randomness from `rngs[w]`.
     ///
-    /// Per logical word the RNG stream is identical to [`Engine::run_batch`]
-    /// on a single-word batch — one fault-mask draw per fallible op, then
-    /// one random plane per support wire of faulting ops — so lanes are
-    /// bit-identical to `W` independent raw runs at the same seeds. This
-    /// is the word loop behind [`Engine::estimate`]; it is public so
-    /// benches can compare it against the raw path.
+    /// Schedule, then execute: every fault mask and random plane is drawn
+    /// first, in the raw loop's per-word order — one fault-mask draw per
+    /// fallible op, then one random plane per support wire of faulting
+    /// ops — and the program then runs against that table. Lanes are
+    /// bit-identical to `W` independent [`Engine::run_batch`] runs on
+    /// single-word batches at the same seeds. This is the word loop
+    /// behind [`Engine::estimate`]; it is public so benches can compare
+    /// it against the raw path.
     ///
     /// # Panics
     ///
@@ -954,26 +985,21 @@ impl Engine {
             rngs.len(),
             "need exactly one RNG per logical word"
         );
-        let compiled = self.compiled();
-        let mut scratch = ExecScratch::default();
         fn go<const W: usize>(
-            compiled: &CompiledOps,
-            table: &FaultTable,
+            engine: &Engine,
             batch: &mut BatchState,
             rngs: &mut [SmallRng],
-            scratch: &mut ExecScratch,
         ) -> BatchExecReport {
             let rngs: &mut [SmallRng; W] = rngs.try_into().expect("len checked");
-            let out = microop::run_sampled_wide::<W>(compiled, table, batch, rngs, scratch);
-            BatchExecReport {
-                fault_events: out.fault_events,
-                faulted_lanes: out.faulted.to_vec(),
-            }
+            with_scratch(|scratch| {
+                scratch.sample::<W>(&engine.table, rngs);
+                microop::execute::<W>(engine.compiled(), batch, scratch).into()
+            })
         }
         match rngs.len() {
-            1 => go::<1>(compiled, &self.table, batch, rngs, &mut scratch),
-            2 => go::<2>(compiled, &self.table, batch, rngs, &mut scratch),
-            4 => go::<4>(compiled, &self.table, batch, rngs, &mut scratch),
+            1 => go::<1>(self, batch, rngs),
+            2 => go::<2>(self, batch, rngs),
+            4 => go::<4>(self, batch, rngs),
             w => panic!("unsupported word width {w} (expected 1, 2 or 4)"),
         }
     }
@@ -986,9 +1012,10 @@ impl Engine {
     /// `masks` uses the flat wide layout `masks[i * W + w]` = lanes in
     /// which op `i` faults in logical word `w` (for `W = 1` this is the
     /// plain per-op schedule of [`Engine::run_batch_masked_raw`]).
-    /// Logical word `w` draws its fault planes from `rngs[w]` in op order
-    /// via the shared sparse schedule, so results are bit-identical to
-    /// `W` single-word [`Engine::run_batch_masked_raw`] calls.
+    /// Logical word `w` draws the fault planes of its schedule from
+    /// `rngs[w]` in op order via the shared sparse schedule before
+    /// anything executes, so results are bit-identical to `W`
+    /// single-word [`Engine::run_batch_masked_raw`] calls.
     ///
     /// # Panics
     ///
@@ -1012,28 +1039,52 @@ impl Engine {
             self.circuit.len() * w,
             "mask schedule does not match this circuit (expected n_ops × width)"
         );
-        let compiled = self.compiled();
-        let mut scratch = ExecScratch::default();
         fn go<const W: usize>(
-            compiled: &CompiledOps,
+            engine: &Engine,
             batch: &mut BatchState,
             masks: &[u64],
             rngs: &mut [SmallRng],
-            scratch: &mut ExecScratch,
         ) -> BatchExecReport {
-            let rngs: &mut [SmallRng; W] = rngs.try_into().expect("len checked");
-            let out = microop::run_masked_wide::<W>(compiled, batch, masks, rngs, scratch);
-            BatchExecReport {
-                fault_events: out.fault_events,
-                faulted_lanes: out.faulted.to_vec(),
-            }
+            with_scratch(|scratch| {
+                scratch.begin(engine.circuit.len(), W);
+                scratch.load_schedule(masks, &engine.table.arity, rngs);
+                microop::execute_schedule::<W>(engine.compiled(), batch, masks, scratch).into()
+            })
         }
         match w {
-            1 => go::<1>(compiled, batch, masks, rngs, &mut scratch),
-            2 => go::<2>(compiled, batch, masks, rngs, &mut scratch),
-            4 => go::<4>(compiled, batch, masks, rngs, &mut scratch),
+            1 => go::<1>(self, batch, masks, rngs),
+            2 => go::<2>(self, batch, masks, rngs),
+            4 => go::<4>(self, batch, masks, rngs),
             other => panic!("unsupported word width {other} (expected 1, 2 or 4)"),
         }
+    }
+
+    /// Phase 1 alone for one group of `rngs.len()` words of stratum
+    /// `stratum` in the `(min_faults, strata_cap)` layout: the
+    /// conditional fault placement and the plane draws, without inputs,
+    /// kernels or judging. Returns the group's fault events. A bench hook
+    /// (`stratified_schedule_only`); no estimator calls it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `stratum` is out of range or the width is not 1 to 4.
+    #[doc(hidden)]
+    pub fn schedule_stratified(
+        &self,
+        min_faults: u32,
+        strata_cap: u32,
+        stratum: usize,
+        rngs: &mut [SmallRng],
+    ) -> u64 {
+        let plan = self.strata_plan(min_faults, strata_cap);
+        let mut place = Vec::new();
+        with_scratch(|scratch| {
+            scratch.begin(self.circuit.len(), rngs.len());
+            for (w, rng) in rngs.iter_mut().enumerate() {
+                self.schedule_stratified_word(&plan, stratum, w, rng, scratch, &mut place);
+            }
+            scratch.fault_events()
+        })
     }
 
     /// The op-at-a-time masked word loop, kept as the raw reference the
@@ -1285,13 +1336,8 @@ impl Engine {
                     trial.prepare_into(&mut col, &mut rngs[k], &mut inputs[k]);
                     wide.load_column(k, &col);
                 }
-                let outcome = microop::run_sampled_wide::<W>(
-                    compiled,
-                    &self.table,
-                    &mut wide,
-                    &mut rngs,
-                    &mut scratch,
-                );
+                scratch.sample::<W>(&self.table, &mut rngs);
+                let outcome = microop::execute::<W>(compiled, &mut wide, &mut scratch);
                 extras.fault_events += outcome.fault_events;
                 extras.fused_segments += outcome.fused_segments;
                 extras.replayed_segments += outcome.replayed_segments;
@@ -1493,7 +1539,8 @@ impl Engine {
     /// Compiled stratified word loop: `W` conditioned logical words per
     /// iteration through the fused micro-op program. Per word, the RNG
     /// stream (prepare → conditional count/placement draws → fault
-    /// planes in op order) is the same at every width.
+    /// planes in op order) is drawn before the group executes and is the
+    /// same at every width.
     fn run_stratified_range_wide<T: WordTrial + ?Sized, const W: usize>(
         &self,
         trial: &T,
@@ -1502,18 +1549,12 @@ impl Engine {
         slots: impl Iterator<Item = Range<usize>>,
     ) -> (Vec<(u64, u64)>, WordExtras) {
         let compiled = self.compiled();
-        let dist = self.fault_dist();
-        let n_ops = self.circuit.len();
         let n_wires = self.circuit.n_wires();
         let mut wide = BatchState::zeros(n_wires, W);
         let mut col = BatchState::zeros(n_wires, 1);
         let mut inputs: [Vec<u64>; W] = std::array::from_fn(|_| Vec::new());
-        // Flat wide mask layout: masks[op * W + w].
-        let mut masks: Vec<u64> = vec![0u64; n_ops * W];
-        let mut touched: [Vec<u32>; W] = std::array::from_fn(|_| Vec::new());
         let mut scratch = ExecScratch::default();
-        let mut chosen: Vec<u32> = Vec::new();
-        let mut place_scratch: Vec<usize> = Vec::new();
+        let mut place: Vec<usize> = Vec::new();
         let mut tallies = vec![(0u64, 0u64); round.plan.strata.len()];
         let mut extras = WordExtras::default();
         for Range { start, end } in slots {
@@ -1540,35 +1581,15 @@ impl Engine {
                             ^ WORD_SEED_STRIDE.wrapping_mul(round.base_word + (i + k) as u64 + 1),
                     )
                 });
-                for k in 0..W {
+                scratch.begin(self.circuit.len(), W);
+                for (k, rng) in rngs.iter_mut().enumerate() {
                     col.clear();
-                    trial.prepare_into(&mut col, &mut rngs[k], &mut inputs[k]);
+                    trial.prepare_into(&mut col, rng, &mut inputs[k]);
                     wide.load_column(k, &col);
-                    // Conditional mask schedule for this word's stratum.
-                    for &t in &touched[k] {
-                        masks[t as usize * W + k] = 0;
-                    }
-                    touched[k].clear();
                     let si = round.assignment[i + k] as usize;
-                    for lane in 0..64u32 {
-                        let count = round.plan.fault_count(si, &mut rngs[k]);
-                        dist.sample_exact(count, &mut rngs[k], &mut chosen, &mut place_scratch);
-                        for &op in &chosen {
-                            let slot = op as usize * W + k;
-                            if masks[slot] == 0 {
-                                touched[k].push(op);
-                            }
-                            masks[slot] |= 1u64 << lane;
-                        }
-                    }
+                    self.schedule_stratified_word(round.plan, si, k, rng, &mut scratch, &mut place);
                 }
-                let outcome = microop::run_masked_wide::<W>(
-                    compiled,
-                    &mut wide,
-                    &masks,
-                    &mut rngs,
-                    &mut scratch,
-                );
+                let outcome = microop::execute::<W>(compiled, &mut wide, &mut scratch);
                 extras.fault_events += outcome.fault_events;
                 extras.fused_segments += outcome.fused_segments;
                 extras.replayed_segments += outcome.replayed_segments;
@@ -1594,6 +1615,34 @@ impl Engine {
             }
         }
         (tallies, extras)
+    }
+
+    /// Phase 1 of stratified word `w`: each lane's conditional fault
+    /// count and placement, lane by lane, straight into the fault table,
+    /// then the word's random planes in op order.
+    fn schedule_stratified_word(
+        &self,
+        plan: &StrataPlan,
+        si: usize,
+        w: usize,
+        rng: &mut SmallRng,
+        scratch: &mut ExecScratch,
+        place: &mut Vec<usize>,
+    ) {
+        let dist = self.fault_dist();
+        let (mut events, mut faulted) = (0u64, 0u64);
+        for lane in 0..64u32 {
+            let count = plan.fault_count(si, rng);
+            let before = events;
+            dist.sample_exact(count, rng, place, |op| {
+                let placed = scratch.place(op, w, lane);
+                events += u64::from(placed);
+                placed
+            });
+            faulted |= u64::from(events != before) << lane;
+        }
+        scratch.tally(w, events, faulted);
+        scratch.draw_planes(&self.table.arity, w, rng);
     }
 
     /// The memoized stratified-estimator layout for

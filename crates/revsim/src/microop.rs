@@ -1,5 +1,5 @@
 //! Compiled micro-op IR: linear-segment fusion with exact GF(2) fault
-//! propagation, and the wide-word batch runners built on it.
+//! propagation, and the wide-word executor built on it.
 //!
 //! The engine's word loops used to execute the *raw* flattened [`Op`]
 //! stream one gate at a time — one enum dispatch, one support lookup and
@@ -27,11 +27,30 @@
 //!     pass tracks each wire's symbolic affine value and specializes
 //!     where it proves the inputs constant.
 //!
+//! # Schedule, then execute
+//!
+//! Every group of `W` words runs in two phases.
+//!
+//! 1. **Fill** (`ExecScratch`): a flat fault table holds, per
+//!    `(op, word)`, the fault mask and the random planes a fault
+//!    consumes. All of a word's randomness is drawn here, from its own
+//!    RNG, in the raw loops' order: the sampled filler draws per op the
+//!    binomial mask and then, for a faulted op, the planes; the
+//!    stratified filler places each lane's conditional faults and then
+//!    draws the planes of the word's faulted ops in op order. So the
+//!    table — and every estimate — is the same at any width.
+//! 2. **Execute** (`execute`): the program runs against the table and
+//!    draws nothing. A native op runs its wide kernel, then a blend that
+//!    is branch-free across the `W` words (lanes under the mask take the
+//!    table's planes). A segment clean in every word takes the one-pass
+//!    affine transform; a dirty one patches or replays, reading the
+//!    table.
+//!
 //! # Exact fault semantics inside a fused segment
 //!
 //! Fusion must not change fault behaviour *bit for bit*: every original
-//! op inside a segment keeps its fault site, its position in the RNG
-//! draw order, and its action (the op does not execute; its support is
+//! op inside a segment keeps its fault site, its entry in the fault
+//! table, and its action (the op does not execute; its support is
 //! replaced by uniform random bits). Segments restore exactness under
 //! faults in one of two ways, chosen at compile time:
 //!
@@ -60,11 +79,10 @@
 //!
 //! **Replay segments** (at least one constant-specialized MAJ/MAJ⁻¹).
 //! The specialization holds only on the ideal trajectory, which a fault
-//! leaves — so a logical word with any fault in the segment restores the
-//! touched planes from the input snapshot and re-executes the original
-//! ops natively with the already-drawn masks, which *is* unfused
-//! execution. Fault-free words (the common case deep below threshold)
-//! still take the one-pass affine transform.
+//! leaves — so a group with any fault in the segment re-executes the
+//! original ops natively (wide kernel, then the blend) against the
+//! table, which *is* unfused execution. Fault-free groups (the common
+//! case deep below threshold) still take the one-pass affine transform.
 //!
 //! Both modes are pinned lane-for-lane against the raw loop by the
 //! property tests in `tests/microop_fusion.rs`. Fusion also falls back
@@ -76,7 +94,7 @@
 //! [`Engine::compile_stats`](crate::engine::Engine::compile_stats) — CI
 //! asserts on it so fusion cannot silently regress to the raw stream.
 
-use crate::batch::{kernels, BatchState};
+use crate::batch::{kernels, BatchExecReport, BatchState};
 use crate::circuit::Circuit;
 use crate::engine::{fill_fault_planes, FaultTable, NEVER};
 use crate::gate::Gate;
@@ -84,19 +102,6 @@ use crate::op::Op;
 use crate::wire::Wire;
 use rand::rngs::SmallRng;
 use rand::Rng;
-
-/// Compact in-IR encoding of [`NEVER`] (micro-ops store sampler indices
-/// as `u32` to keep the op stream dense).
-const NEVER_U32: u32 = u32::MAX;
-
-/// Narrows an engine sampler index into the IR encoding.
-fn sampler_u32(sampler: usize) -> u32 {
-    if sampler == NEVER {
-        NEVER_U32
-    } else {
-        u32::try_from(sampler).expect("sampler index fits u32")
-    }
-}
 
 /// Largest wire count a single affine segment may touch (row, gather and
 /// scatter masks are single `u64` bit sets over the segment's wires).
@@ -129,17 +134,13 @@ pub(crate) enum MicroOp {
     Affine(u32),
 }
 
-/// A native micro-op: the original op plus its precomputed fault lookup.
+/// A native micro-op: the original op plus its fault-table row.
 #[derive(Debug, Clone)]
 pub(crate) struct NativeOp {
     /// The original operation (drives the shared plane kernels).
     pub op: Op,
     /// Index of the op in the original stream (its fault site).
     pub op_index: u32,
-    /// Sampler index in the fault table ([`NEVER_U32`] = never faults).
-    pub sampler: u32,
-    /// Precomputed support size.
-    pub arity: u8,
 }
 
 /// One output row of a fused segment: `out = XOR(inputs in mask) ⊕ konst`.
@@ -167,10 +168,6 @@ pub(crate) struct Gather {
 pub(crate) struct FaultSite {
     /// Index of the op in the original stream.
     pub op_index: u32,
-    /// Sampler index ([`NEVER_U32`] = never faults; the site still
-    /// exists so externally supplied mask schedules keep their
-    /// semantics).
-    pub sampler: u32,
     /// Support size (how many random planes a fault consumes).
     pub arity: u8,
     /// Per support wire: the would-be ideal post-op value as a function
@@ -311,7 +308,10 @@ pub(crate) fn compile(circuit: &Circuit, table: &FaultTable) -> CompiledOps {
                 i = end;
             }
             None => {
-                micro.push(native(ops, table, i));
+                micro.push(MicroOp::Native(NativeOp {
+                    op: ops[i],
+                    op_index: i as u32,
+                }));
                 i += 1;
             }
         }
@@ -322,15 +322,6 @@ pub(crate) fn compile(circuit: &Circuit, table: &FaultTable) -> CompiledOps {
         segments,
         stats,
     }
-}
-
-fn native(ops: &[Op], table: &FaultTable, i: usize) -> MicroOp {
-    MicroOp::Native(NativeOp {
-        op: ops[i],
-        op_index: i as u32,
-        sampler: sampler_u32(table.sampler_of[i]),
-        arity: ops[i].arity() as u8,
-    })
 }
 
 /// A symbolic affine value: XOR of wire positions plus a constant.
@@ -618,7 +609,6 @@ fn scan_segment(
             .enumerate()
             .map(|(i, op)| FaultSite {
                 op_index: (start + i) as u32,
-                sampler: sampler_u32(table.sampler_of[start + i]),
                 arity: op.arity() as u8,
                 gathers: [Gather::default(); 4],
                 scatters: [0u64; 4],
@@ -804,33 +794,159 @@ fn backward_pass(
 }
 
 // ---------------------------------------------------------------------------
-// Wide runners
+// Schedule, then execute
 // ---------------------------------------------------------------------------
 
-/// One pending fault inside the segment currently being executed.
-#[derive(Debug, Clone, Copy)]
-struct FaultEvent {
-    /// Which of the `W` logical words the fault belongs to.
-    word: u8,
-    /// Index into the segment's `sites`.
-    site: u32,
-    /// 64-lane fault mask.
-    mask: u64,
-    /// Random planes (one per support wire).
-    planes: [u64; 4],
-}
-
-/// Reusable buffers for the wide runners (allocated once per word range).
+/// Reusable buffers of one thread's word loop: the flat fault table of
+/// the current group of `W` words (filled by phase 1, read by
+/// [`execute`]) plus the segment buffers of phase 2.
 #[derive(Debug, Default)]
 pub(crate) struct ExecScratch {
+    /// `W` of the current group.
+    width: usize,
+    /// Words per op bit set in `touched` (`n_ops / 64` rounded up).
+    stride: usize,
+    /// `masks[i * W + w]`: lanes in which op `i` faults in word `w`.
+    masks: Vec<u64>,
+    /// `planes[(i * 4 + k) * W + w]`: the random plane support wire `k`
+    /// of op `i` takes in word `w`. Read only under its mask — a zero
+    /// mask discards it — so it is written where a fault lands and never
+    /// cleared.
+    planes: Vec<u64>,
+    /// Per word, a bit set over ops with a nonzero mask (`stride` words
+    /// each): the op-order walk of the plane draws.
+    touched: Vec<u64>,
+    /// Per word: lanes with at least one fault.
+    faulted: [u64; 4],
+    /// `(op, lane)` fault events over the group.
+    fault_events: u64,
     /// Snapshot of the segment's input planes (flat: `position * W + w`).
     inp: Vec<u64>,
     /// Projected boundary planes (flat, same layout).
     boundary: Vec<u64>,
-    /// Faults collected while sampling the current segment.
-    events: Vec<FaultEvent>,
-    /// Per-site `(mask, planes)` of the word being replayed.
-    replay: Vec<(u64, [u64; 4])>,
+}
+
+impl ExecScratch {
+    /// Sizes the table for `n_ops` ops of `width` words and clears it.
+    pub(crate) fn begin(&mut self, n_ops: usize, width: usize) {
+        self.width = width;
+        self.stride = n_ops.div_ceil(64);
+        self.masks.clear();
+        self.masks.resize(n_ops * width, 0);
+        self.planes.resize(n_ops * 4 * width, 0);
+        self.touched.clear();
+        self.touched.resize(self.stride * width, 0);
+        self.faulted = [0; 4];
+        self.fault_events = 0;
+    }
+
+    /// Phase 1 of a sampled group, exactly the raw loop's draw order per
+    /// word: per fallible op in op order one mask draw from the word's
+    /// RNG, then one full plane per support wire when the mask is
+    /// nonzero. Words interleave per op; each RNG sees only its own
+    /// word's draws, so the stream is the same at every width.
+    pub(crate) fn sample<const W: usize>(&mut self, table: &FaultTable, rngs: &mut [SmallRng; W]) {
+        self.begin(table.n_ops(), W);
+        let (mut events, mut faulted) = (0u64, [0u64; W]);
+        for (i, (&s, &arity)) in table.sampler_of.iter().zip(&table.arity).enumerate() {
+            if s == NEVER {
+                continue;
+            }
+            let sampler = &table.samplers[s];
+            for (w, rng) in rngs.iter_mut().enumerate() {
+                let mask = sampler.sample(rng);
+                if mask == 0 {
+                    continue;
+                }
+                self.masks[i * W + w] = mask;
+                for k in 0..arity as usize {
+                    self.planes[(i * 4 + k) * W + w] = rng.random::<u64>();
+                }
+                events += u64::from(mask.count_ones());
+                faulted[w] |= mask;
+            }
+        }
+        self.faulted[..W].copy_from_slice(&faulted);
+        self.fault_events = events;
+    }
+
+    /// Schedules a fault of op `i` in `lane` of word `w`; `false` (and
+    /// no change) when that `(op, lane)` already faults. The caller
+    /// tallies its placements into [`ExecScratch::tally`].
+    #[inline]
+    pub(crate) fn place(&mut self, i: u32, w: usize, lane: u32) -> bool {
+        let i = i as usize;
+        let bit = 1u64 << lane;
+        let mask = &mut self.masks[i * self.width + w];
+        if *mask & bit != 0 {
+            return false;
+        }
+        *mask |= bit;
+        self.touched[w * self.stride + i / 64] |= 1u64 << (i % 64);
+        true
+    }
+
+    /// Records that word `w` holds `events` placed faults in `faulted`.
+    pub(crate) fn tally(&mut self, w: usize, events: u64, faulted: u64) {
+        self.fault_events += events;
+        self.faulted[w] |= faulted;
+    }
+
+    /// Phase 1 for a precomputed schedule in the flat wide layout (which
+    /// [`execute_schedule`] then runs in place of the table's masks):
+    /// draws word `w`'s planes in op order from `rngs[w]`.
+    pub(crate) fn load_schedule(&mut self, masks: &[u64], arity: &[u8], rngs: &mut [SmallRng]) {
+        for (i, row) in masks.chunks_exact(self.width).enumerate() {
+            if row.iter().fold(0u64, |a, &m| a | m) == 0 {
+                continue;
+            }
+            for (w, (&mask, rng)) in row.iter().zip(rngs.iter_mut()).enumerate() {
+                if mask != 0 {
+                    self.draw_fault_planes(i, w, mask, arity[i], rng);
+                    self.fault_events += u64::from(mask.count_ones());
+                    self.faulted[w] |= mask;
+                }
+            }
+        }
+    }
+
+    /// `(op, lane)` fault events scheduled in the group so far.
+    pub(crate) fn fault_events(&self) -> u64 {
+        self.fault_events
+    }
+
+    /// Draws word `w`'s random planes for its scheduled faults, in op
+    /// order, via the shared sparse [`fill_fault_planes`] schedule.
+    pub(crate) fn draw_planes(&mut self, arity: &[u8], w: usize, rng: &mut SmallRng) {
+        for chunk in 0..self.stride {
+            let mut bits = self.touched[w * self.stride + chunk];
+            while bits != 0 {
+                let i = chunk * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let mask = self.masks[i * self.width + w];
+                self.draw_fault_planes(i, w, mask, arity[i], rng);
+            }
+        }
+    }
+
+    /// Draws the planes of scheduled fault `(i, w)` into the table.
+    #[inline]
+    fn draw_fault_planes(&mut self, i: usize, w: usize, mask: u64, arity: u8, rng: &mut SmallRng) {
+        let mut planes = [0u64; 4];
+        fill_fault_planes(arity as usize, mask, rng, &mut planes);
+        for (k, plane) in planes.into_iter().enumerate() {
+            self.planes[(i * 4 + k) * self.width + w] = plane;
+        }
+    }
+}
+
+impl<const W: usize> From<WideOutcome<W>> for BatchExecReport {
+    fn from(out: WideOutcome<W>) -> Self {
+        BatchExecReport {
+            fault_events: out.fault_events,
+            faulted_lanes: out.faulted.to_vec(),
+        }
+    }
 }
 
 /// Per-word outcome of a wide run.
@@ -849,180 +965,70 @@ pub(crate) struct WideOutcome<const W: usize> {
     pub replayed_segments: u64,
 }
 
-/// Runs the compiled program over a `W`-word wide batch, **sampling**
-/// faults exactly like the raw word loop: per original op (in stream
-/// order), per logical word, one mask draw from that word's own RNG,
-/// then one full random plane per support wire when the mask is
-/// nonzero. Word `w` therefore consumes `rngs[w]` in the identical
-/// order to a `W = 1` raw run of that word — estimates stay
-/// byte-identical for a fixed seed at any width.
-pub(crate) fn run_sampled_wide<const W: usize>(
+/// Phase 2: runs the compiled program over a `W`-word wide batch against
+/// the fault table phase 1 filled, drawing nothing. Native ops run the
+/// wide kernel, then the unconditional masked blend; a clean segment
+/// takes the one-pass affine transform; a dirty one patches its
+/// boundary or replays its ops natively, reading the same table.
+pub(crate) fn execute<const W: usize>(
     compiled: &CompiledOps,
-    table: &FaultTable,
     batch: &mut BatchState,
-    rngs: &mut [SmallRng; W],
     scratch: &mut ExecScratch,
 ) -> WideOutcome<W> {
-    let mut out = WideOutcome {
-        faulted: [0u64; W],
-        fault_events: 0,
-        fused_segments: 0,
-        replayed_segments: 0,
-    };
-    for mop in &compiled.micro {
-        match mop {
-            MicroOp::Native(nat) => {
-                if nat.sampler == NEVER_U32 {
-                    kernels::apply_wide::<W>(batch, &nat.op);
-                    continue;
-                }
-                let sampler = &table.samplers[nat.sampler as usize];
-                let mut masks = [0u64; W];
-                let mut any = false;
-                for (w, rng) in rngs.iter_mut().enumerate() {
-                    masks[w] = sampler.sample(rng);
-                    any |= masks[w] != 0;
-                }
-                // One vectorized ideal kernel for every word; faulted
-                // words then pay only the per-lane blend.
-                kernels::apply_wide::<W>(batch, &nat.op);
-                if !any {
-                    continue;
-                }
-                let arity = nat.arity as usize;
-                for (w, rng) in rngs.iter_mut().enumerate() {
-                    if masks[w] != 0 {
-                        let mut rand_planes = [0u64; 4];
-                        for plane in rand_planes.iter_mut().take(arity) {
-                            *plane = rng.random::<u64>();
-                        }
-                        kernels::blend_faulted(batch, &nat.op, w, masks[w], &rand_planes);
-                        out.fault_events += masks[w].count_ones() as u64;
-                        out.faulted[w] |= masks[w];
-                    }
-                }
-            }
-            MicroOp::Affine(seg) => {
-                let seg = &compiled.segments[*seg as usize];
-                scratch.events.clear();
-                for (si, site) in seg.sites.iter().enumerate() {
-                    if site.sampler == NEVER_U32 {
-                        continue;
-                    }
-                    let sampler = &table.samplers[site.sampler as usize];
-                    let arity = site.arity as usize;
-                    for (w, rng) in rngs.iter_mut().enumerate() {
-                        let mask = sampler.sample(rng);
-                        if mask == 0 {
-                            continue;
-                        }
-                        let mut planes = [0u64; 4];
-                        for plane in planes.iter_mut().take(arity) {
-                            *plane = rng.random::<u64>();
-                        }
-                        scratch.events.push(FaultEvent {
-                            word: w as u8,
-                            site: si as u32,
-                            mask,
-                            planes,
-                        });
-                    }
-                }
-                apply_segment::<W>(seg, batch, scratch, &mut out);
-            }
-        }
-    }
+    let masks = std::mem::take(&mut scratch.masks);
+    let out = execute_schedule::<W>(compiled, batch, &masks, scratch);
+    scratch.masks = masks;
     out
 }
 
-/// Runs the compiled program over a `W`-word wide batch under a
-/// **precomputed** fault-mask schedule in the flat wide layout:
-/// `masks[i * W + w]` = lanes in which op `i` faults in logical word `w`
-/// (one contiguous load per op) — the stratified estimator's conditional
-/// execution path. Random planes are drawn from each word's RNG in op
-/// order via the shared sparse
-/// [`fill_fault_planes`](crate::engine::fill_fault_planes) schedule, so
-/// the result is bit-identical to `W` single-word
-/// [`Engine::run_batch_masked_raw`](crate::engine::Engine::run_batch_masked_raw)
-/// runs.
-pub(crate) fn run_masked_wide<const W: usize>(
+/// [`execute`] with the masks of `schedule` (flat wide layout) in place
+/// of the table's own, the planes [`ExecScratch::load_schedule`] drew.
+pub(crate) fn execute_schedule<const W: usize>(
     compiled: &CompiledOps,
     batch: &mut BatchState,
     masks: &[u64],
-    rngs: &mut [SmallRng; W],
     scratch: &mut ExecScratch,
 ) -> WideOutcome<W> {
+    debug_assert_eq!(scratch.width, W);
     let mut out = WideOutcome {
-        faulted: [0u64; W],
-        fault_events: 0,
+        faulted: std::array::from_fn(|w| scratch.faulted[w]),
+        fault_events: scratch.fault_events,
         fused_segments: 0,
         replayed_segments: 0,
     };
+    // Dense tables (on average about every other op faulting somewhere in
+    // the group) blend every op: a clean-op test would mispredict there.
+    let dense = 2 * scratch.fault_events >= (masks.len() / W) as u64;
     for mop in &compiled.micro {
         match mop {
             MicroOp::Native(nat) => {
-                masked_native::<W>(
-                    &nat.op,
-                    nat.op_index,
-                    nat.arity,
-                    batch,
-                    masks,
-                    rngs,
-                    &mut out,
-                );
+                kernels::apply_wide::<W>(batch, &nat.op);
+                let i = nat.op_index as usize;
+                blend::<W>(batch, &nat.op, i, dense, masks, &scratch.planes);
             }
             MicroOp::Affine(seg) => {
                 let seg = &compiled.segments[*seg as usize];
-                // Pre-scan the schedule in one contiguous pass (fused
-                // runs cover consecutive ops): a clean segment collapses
-                // to the one-pass affine transform.
+                // Fused runs cover consecutive ops: one contiguous pass
+                // over the table tells a clean segment.
                 let lo = seg.start as usize * W;
                 let hi = lo + seg.sites.len() * W;
-                let clean = masks[lo..hi].iter().fold(0u64, |a, &m| a | m) == 0;
-                if clean {
-                    scratch.events.clear();
-                    apply_segment::<W>(seg, batch, scratch, &mut out);
-                    continue;
-                }
+                let dirty = masks[lo..hi].iter().fold(0u64, |a, &m| a | m) != 0;
                 match &seg.mode {
-                    FaultMode::Replay(ops) => {
-                        // A schedule left the ideal trajectory: run the
-                        // original ops natively (wide kernel + blend) —
-                        // plane draws stay in op order per word.
+                    FaultMode::Replay(ops) if dirty => {
+                        // A faulted word left the ideal trajectory the
+                        // specialization assumed: re-execute the original
+                        // ops natively — that *is* unfused execution. The
+                        // batch still holds the pre-segment planes.
                         out.replayed_segments += 1;
                         for (site, op) in seg.sites.iter().zip(ops) {
-                            masked_native::<W>(
-                                op,
-                                site.op_index,
-                                site.arity,
-                                batch,
-                                masks,
-                                rngs,
-                                &mut out,
-                            );
+                            kernels::apply_wide::<W>(batch, op);
+                            let i = site.op_index as usize;
+                            blend::<W>(batch, op, i, dense, masks, &scratch.planes);
                         }
                     }
-                    FaultMode::Patch => {
-                        scratch.events.clear();
-                        for (si, site) in seg.sites.iter().enumerate() {
-                            let i = site.op_index as usize;
-                            let arity = site.arity as usize;
-                            for (w, rng) in rngs.iter_mut().enumerate() {
-                                let mask = masks[i * W + w];
-                                if mask == 0 {
-                                    continue;
-                                }
-                                let mut planes = [0u64; 4];
-                                fill_fault_planes(arity, mask, rng, &mut planes);
-                                scratch.events.push(FaultEvent {
-                                    word: w as u8,
-                                    site: si as u32,
-                                    mask,
-                                    planes,
-                                });
-                            }
-                        }
-                        apply_segment::<W>(seg, batch, scratch, &mut out);
+                    _ => {
+                        out.fused_segments += 1;
+                        apply_segment::<W>(seg, dirty, batch, masks, scratch);
                     }
                 }
             }
@@ -1031,60 +1037,48 @@ pub(crate) fn run_masked_wide<const W: usize>(
     out
 }
 
-/// One op of the masked runner: vectorized ideal kernel for all words,
-/// then the per-lane fault blend on scheduled words (planes drawn from
-/// each word's RNG in op order via the shared sparse schedule).
+/// The fault action of op `i` after its ideal wide kernel: lanes in the
+/// table's mask take the table's random planes, the rest keep the
+/// kernel output. The blend is branch-free across the `W` words; unless
+/// the table is `dense`, an op clean in all of them skips it.
 #[inline]
-fn masked_native<const W: usize>(
-    op: &Op,
-    op_index: u32,
-    arity: u8,
+fn blend<const W: usize>(
     batch: &mut BatchState,
+    op: &Op,
+    i: usize,
+    dense: bool,
     masks: &[u64],
-    rngs: &mut [SmallRng; W],
-    out: &mut WideOutcome<W>,
+    planes: &[u64],
 ) {
-    let i = op_index as usize;
-    let mut fmasks = [0u64; W];
-    fmasks.copy_from_slice(&masks[i * W..i * W + W]);
-    let mut any = 0u64;
-    for &m in &fmasks {
-        any |= m;
-    }
-    kernels::apply_wide::<W>(batch, op);
-    if any == 0 {
+    let masks = &masks[i * W..(i + 1) * W];
+    if !dense && masks.iter().fold(0u64, |a, &m| a | m) == 0 {
         return;
     }
-    let arity = arity as usize;
-    for (w, rng) in rngs.iter_mut().enumerate() {
-        if fmasks[w] != 0 {
-            let mut rand_planes = [0u64; 4];
-            fill_fault_planes(arity, fmasks[w], rng, &mut rand_planes);
-            kernels::blend_faulted(batch, op, w, fmasks[w], &rand_planes);
-            out.fault_events += fmasks[w].count_ones() as u64;
-            out.faulted[w] |= fmasks[w];
+    for (k, &wire) in op.support().as_slice().iter().enumerate() {
+        let rand = &planes[(i * 4 + k) * W..(i * 4 + k + 1) * W];
+        let mut v = batch.wide::<W>(wire);
+        for ((x, &m), &r) in v.iter_mut().zip(masks).zip(rand) {
+            *x = (*x & !m) | (r & m);
         }
+        batch.set_wide(wire, v);
     }
 }
 
-/// Applies one fused segment to the wide batch: the one-pass affine
-/// transform, then — per collected fault event, in op order per word
-/// (`scratch.events` is pushed site-major, which preserves that order
-/// within each word) — either the gather → inject → scatter patch or the
-/// native replay of the faulted words.
+/// Applies one patch segment, or the fast path of a clean replay
+/// segment: the one-pass affine transform, then — when `dirty` — the
+/// gather → inject → scatter patch of every faulted site in op order.
 fn apply_segment<const W: usize>(
     seg: &AffineSegment,
+    dirty: bool,
     batch: &mut BatchState,
+    masks: &[u64],
     scratch: &mut ExecScratch,
-    out: &mut WideOutcome<W>,
 ) {
     let n = seg.wires.len();
-    if scratch.events.is_empty() {
-        // Fast path: snapshot the planes the rows read (rows may
-        // overwrite wires they read), then emit the non-identity rows
-        // straight into the batch.
-        out.fused_segments += 1;
-        snapshot::<W>(seg, batch, scratch);
+    snapshot::<W>(seg, batch, scratch);
+    if !dirty {
+        // Fast path: emit the non-identity rows straight into the batch
+        // (the snapshot keeps the planes they read).
         for (p, row) in seg.rows.iter().enumerate() {
             if row.identity {
                 continue;
@@ -1094,85 +1088,59 @@ fn apply_segment<const W: usize>(
         }
         return;
     }
-    match &seg.mode {
-        FaultMode::Patch => {
-            // Materialize the projected boundary for every wire, patch it
-            // per event, then store it back. Identity rows read their
-            // (still unwritten) planes directly.
-            out.fused_segments += 1;
-            snapshot::<W>(seg, batch, scratch);
-            scratch.boundary.resize(n * W, 0);
-            for (p, row) in seg.rows.iter().enumerate() {
-                let acc = if row.identity {
-                    batch.wide::<W>(Wire::new(seg.wires[p]))
-                } else {
-                    eval_row::<W>(row.mask, row.konst, &scratch.inp)
-                };
-                scratch.boundary[p * W..(p + 1) * W].copy_from_slice(&acc);
-            }
-            for e in &scratch.events {
-                let site = &seg.sites[e.site as usize];
-                let w = e.word as usize;
-                let arity = site.arity as usize;
-                let mut d = [0u64; 4];
-                // Gather all would-be ideal values before scattering any
-                // delta: within one site they are all defined pre-fault.
-                for (k, dk) in d.iter_mut().enumerate().take(arity) {
-                    let g = &site.gathers[k];
-                    let mut val = if g.konst { u64::MAX } else { 0u64 };
-                    let mut gm = g.mask;
-                    while gm != 0 {
-                        let p = gm.trailing_zeros() as usize;
-                        gm &= gm - 1;
-                        val ^= scratch.boundary[p * W + w];
-                    }
-                    *dk = (e.planes[k] ^ val) & e.mask;
+    // Materialize the projected boundary for every wire, patch it per
+    // faulted site, then store it back. Identity rows read their (still
+    // unwritten) planes directly.
+    scratch.boundary.resize(n * W, 0);
+    for (p, row) in seg.rows.iter().enumerate() {
+        let acc = if row.identity {
+            batch.wide::<W>(Wire::new(seg.wires[p]))
+        } else {
+            eval_row::<W>(row.mask, row.konst, &scratch.inp)
+        };
+        scratch.boundary[p * W..(p + 1) * W].copy_from_slice(&acc);
+    }
+    for site in &seg.sites {
+        let i = site.op_index as usize;
+        let masks = &masks[i * W..(i + 1) * W];
+        if masks.iter().fold(0u64, |a, &m| a | m) == 0 {
+            continue;
+        }
+        // Gather every would-be ideal value before scattering any
+        // delta: within one site they are all defined pre-fault. Words
+        // are independent columns, so a site patches all `W` at once.
+        let mut d = [[0u64; W]; 4];
+        for (k, dk) in d.iter_mut().enumerate().take(site.arity as usize) {
+            let g = &site.gathers[k];
+            let mut val = [if g.konst { u64::MAX } else { 0 }; W];
+            let mut gm = g.mask;
+            while gm != 0 {
+                let p = gm.trailing_zeros() as usize;
+                gm &= gm - 1;
+                for (v, &b) in val.iter_mut().zip(&scratch.boundary[p * W..(p + 1) * W]) {
+                    *v ^= b;
                 }
-                for (k, &dk) in d.iter().enumerate().take(arity) {
-                    let mut sm = site.scatters[k];
-                    while sm != 0 {
-                        let p = sm.trailing_zeros() as usize;
-                        sm &= sm - 1;
-                        scratch.boundary[p * W + w] ^= dk;
-                    }
-                }
-                out.fault_events += e.mask.count_ones() as u64;
-                out.faulted[w] |= e.mask;
             }
-            for (p, &wi) in seg.wires.iter().enumerate() {
-                let mut v = [0u64; W];
-                v.copy_from_slice(&scratch.boundary[p * W..(p + 1) * W]);
-                batch.set_wide(Wire::new(wi), v);
+            let rand = &scratch.planes[(i * 4 + k) * W..(i * 4 + k + 1) * W];
+            for (w, x) in dk.iter_mut().enumerate() {
+                *x = (rand[w] ^ val[w]) & masks[w];
             }
         }
-        FaultMode::Replay(ops) => {
-            // A faulted word leaves the ideal trajectory the
-            // specialization assumed, so re-execute the whole segment
-            // natively (that *is* the unfused execution, masks and
-            // planes already drawn): one wide ideal kernel per op, then
-            // the per-lane fault blend on its scheduled words. The batch
-            // still holds the pre-segment planes — the fast path never
-            // ran — so no snapshot or restore is needed.
-            out.replayed_segments += 1;
-            scratch.replay.clear();
-            scratch
-                .replay
-                .resize(seg.sites.len() * W, (0u64, [0u64; 4]));
-            for e in &scratch.events {
-                scratch.replay[e.site as usize * W + e.word as usize] = (e.mask, e.planes);
-            }
-            for (si, op) in ops.iter().enumerate() {
-                kernels::apply_wide::<W>(batch, op);
-                for w in 0..W {
-                    let (mask, planes) = scratch.replay[si * W + w];
-                    if mask != 0 {
-                        kernels::blend_faulted(batch, op, w, mask, &planes);
-                        out.fault_events += mask.count_ones() as u64;
-                        out.faulted[w] |= mask;
-                    }
+        for (k, dk) in d.iter().enumerate().take(site.arity as usize) {
+            let mut sm = site.scatters[k];
+            while sm != 0 {
+                let p = sm.trailing_zeros() as usize;
+                sm &= sm - 1;
+                for (b, &x) in scratch.boundary[p * W..(p + 1) * W].iter_mut().zip(dk) {
+                    *b ^= x;
                 }
             }
         }
+    }
+    for (p, &wi) in seg.wires.iter().enumerate() {
+        let mut v = [0u64; W];
+        v.copy_from_slice(&scratch.boundary[p * W..(p + 1) * W]);
+        batch.set_wide(Wire::new(wi), v);
     }
 }
 

@@ -198,6 +198,77 @@ proptest! {
         }
     }
 
+    /// Dense schedules at every width: the fault table of a `W`-word
+    /// group, filled before anything executes, lands stratified-like
+    /// schedules (4–7 faults per lane) and heavy sampled noise exactly as
+    /// the raw loops do word by word — planes, fault events, faulted
+    /// lanes and the RNG stream consumed.
+    #[test]
+    fn dense_schedules_match_the_raw_loops_at_every_width(
+        c in arb_circuit(40),
+        seed in 0u64..1_000_000,
+        width_log2 in 0u32..3,
+        g_mil in 50u32..300,
+    ) {
+        let width = 1usize << width_log2;
+        let n_ops = c.len();
+        let mut seeder = SmallRng::seed_from_u64(seed ^ 0xD5);
+        let mut masks = vec![0u64; n_ops * width];
+        for word in 0..width {
+            for lane in 0..64 {
+                let faults = seeder.random_range(4..8usize).min(n_ops);
+                let mut placed = 0;
+                while placed < faults {
+                    let slot = seeder.random_range(0..n_ops) * width + word;
+                    if masks[slot] & (1u64 << lane) == 0 {
+                        masks[slot] |= 1u64 << lane;
+                        placed += 1;
+                    }
+                }
+            }
+        }
+        let engine = Engine::compile(&c, &UniformNoise::new(f64::from(g_mil) / 1000.0));
+        let seeds = |word: usize| seed ^ ((word as u64 + 1) << 40);
+        let mut masked = BatchState::zeros(N_WIRES, width);
+        let mut sampled = BatchState::zeros(N_WIRES, width);
+        for word in 0..width {
+            let mut fill = SmallRng::seed_from_u64(seeds(word) ^ 0x77);
+            fill_random(&mut masked, word, &mut fill);
+            let mut fill = SmallRng::seed_from_u64(seeds(word) ^ 0x77);
+            fill_random(&mut sampled, word, &mut fill);
+        }
+        let mut masked_rngs: Vec<SmallRng> =
+            (0..width).map(|k| SmallRng::seed_from_u64(seeds(k))).collect();
+        let mut sampled_rngs = masked_rngs.clone();
+        let rep_masked = engine.run_batch_masked(&mut masked, &masks, &mut masked_rngs);
+        let rep_sampled = engine.run_batch_fused(&mut sampled, &mut sampled_rngs);
+        let (mut masked_events, mut sampled_events) = (0, 0);
+        for word in 0..width {
+            let column: Vec<u64> = (0..n_ops).map(|i| masks[i * width + word]).collect();
+            let mut raw = BatchState::zeros(N_WIRES, 1);
+            let mut fill = SmallRng::seed_from_u64(seeds(word) ^ 0x77);
+            fill_random(&mut raw, 0, &mut fill);
+            let mut raw_sampled = raw.clone();
+            let mut rng = SmallRng::seed_from_u64(seeds(word));
+            let rep = engine.run_batch_masked_raw(&mut raw, &column, &mut rng);
+            prop_assert_eq!(rep.faulted_lanes[0], rep_masked.faulted_lanes[word]);
+            prop_assert_eq!(rng.random::<u64>(), masked_rngs[word].random::<u64>());
+            masked_events += rep.fault_events;
+            let mut rng = SmallRng::seed_from_u64(seeds(word));
+            let rep = engine.run_batch(&mut raw_sampled, &mut rng);
+            prop_assert_eq!(rep.faulted_lanes[0], rep_sampled.faulted_lanes[word]);
+            prop_assert_eq!(rng.random::<u64>(), sampled_rngs[word].random::<u64>());
+            sampled_events += rep.fault_events;
+            for i in 0..N_WIRES {
+                let wire = w(i as u32);
+                prop_assert_eq!(raw.word(wire, 0), masked.word(wire, word), "masked wire {} word {}", i, word);
+                prop_assert_eq!(raw_sampled.word(wire, 0), sampled.word(wire, word), "sampled wire {} word {}", i, word);
+            }
+        }
+        prop_assert_eq!(masked_events, rep_masked.fault_events);
+        prop_assert_eq!(sampled_events, rep_sampled.fault_events);
+    }
+
     /// Estimates are invariant under the wide-word width, for both the
     /// plain and the stratified estimator (width is pure throughput).
     #[test]
