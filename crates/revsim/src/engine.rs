@@ -186,13 +186,10 @@ const WORD_SEED_STRIDE: u64 = 0x9E37_79B9_7F4A_7C15;
 pub(crate) const NEVER: usize = usize::MAX;
 
 thread_local! {
-    /// The one-shot runs' scratch ([`Engine::run_batch_fused`] and
-    /// friends), kept per thread so a call allocates nothing.
+    /// The one-shot runs' fault table, kept per thread: allocating its
+    /// `n_ops × W` masks and planes per call costs a clean level-2
+    /// `run_batch_masked` 1.4× (BENCH_NOTES).
     static SCRATCH: RefCell<ExecScratch> = RefCell::default();
-}
-
-fn with_scratch<T>(f: impl FnOnce(&mut ExecScratch) -> T) -> T {
-    SCRATCH.with(|scratch| f(&mut scratch.borrow_mut()))
 }
 
 // ---------------------------------------------------------------------------
@@ -234,14 +231,15 @@ impl MaskSampler {
     }
 
     /// Draws a 64-lane fault mask distributed as 64 i.i.d. Bernoulli(p)
-    /// bits: one exact binomial draw for the fault count, then uniform
-    /// placement — one `f64` sample in the common zero-fault case.
+    /// bits, and its fault count: one exact binomial draw for the count,
+    /// then uniform placement — one `f64` sample in the common zero-fault
+    /// case.
     #[inline]
-    pub(crate) fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
+    pub(crate) fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> (u64, u32) {
         let u: f64 = rng.random();
         // Fast path: no faults in this word.
         if u < self.cdf[0] {
-            return 0;
+            return (0, 0);
         }
         let mut k = 1usize;
         while k < 64 && u >= self.cdf[k] {
@@ -262,11 +260,7 @@ impl MaskSampler {
                 placed += 1;
             }
         }
-        if invert {
-            !mask
-        } else {
-            mask
-        }
+        (if invert { !mask } else { mask }, k as u32)
     }
 }
 
@@ -637,7 +631,7 @@ pub(crate) fn run_batch_words<R: Rng + ?Sized>(
         }
         let sampler = &table.samplers[sampler_idx];
         for word in 0..words {
-            let fault = sampler.sample(rng);
+            let (fault, _) = sampler.sample(rng);
             if fault == 0 {
                 kernels::apply_word(batch, op, word);
             } else {
@@ -991,7 +985,7 @@ impl Engine {
             rngs: &mut [SmallRng],
         ) -> BatchExecReport {
             let rngs: &mut [SmallRng; W] = rngs.try_into().expect("len checked");
-            with_scratch(|scratch| {
+            SCRATCH.with_borrow_mut(|scratch| {
                 scratch.sample::<W>(&engine.table, rngs);
                 microop::execute::<W>(engine.compiled(), batch, scratch).into()
             })
@@ -1045,10 +1039,9 @@ impl Engine {
             masks: &[u64],
             rngs: &mut [SmallRng],
         ) -> BatchExecReport {
-            with_scratch(|scratch| {
-                scratch.begin(engine.circuit.len(), W);
+            SCRATCH.with_borrow_mut(|scratch| {
                 scratch.load_schedule(masks, &engine.table.arity, rngs);
-                microop::execute_schedule::<W>(engine.compiled(), batch, masks, scratch).into()
+                microop::execute::<W>(engine.compiled(), batch, scratch).into()
             })
         }
         match w {
@@ -1078,12 +1071,12 @@ impl Engine {
     ) -> u64 {
         let plan = self.strata_plan(min_faults, strata_cap);
         let mut place = Vec::new();
-        with_scratch(|scratch| {
-            scratch.begin(self.circuit.len(), rngs.len());
+        SCRATCH.with_borrow_mut(|scratch| {
+            scratch.begin(self.circuit.len(), rngs.len(), true);
             for (w, rng) in rngs.iter_mut().enumerate() {
                 self.schedule_stratified_word(&plan, stratum, w, rng, scratch, &mut place);
             }
-            scratch.fault_events()
+            scratch.fault_events
         })
     }
 
@@ -1581,7 +1574,7 @@ impl Engine {
                             ^ WORD_SEED_STRIDE.wrapping_mul(round.base_word + (i + k) as u64 + 1),
                     )
                 });
-                scratch.begin(self.circuit.len(), W);
+                scratch.begin(self.circuit.len(), W, true);
                 for (k, rng) in rngs.iter_mut().enumerate() {
                     col.clear();
                     trial.prepare_into(&mut col, rng, &mut inputs[k]);
@@ -3076,7 +3069,8 @@ mod tests {
         let draws = 20_000usize;
         let mut per_lane = [0u32; 64];
         for _ in 0..draws {
-            let mask = sampler.sample(&mut rng);
+            let (mask, faults) = sampler.sample(&mut rng);
+            assert_eq!(mask.count_ones(), faults);
             for (lane, count) in per_lane.iter_mut().enumerate() {
                 *count += ((mask >> lane) & 1) as u32;
             }

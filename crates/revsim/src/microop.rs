@@ -37,12 +37,14 @@
 //!    RNG, in the raw loops' order: the sampled filler draws per op the
 //!    binomial mask and then, for a faulted op, the planes; the
 //!    stratified filler places each lane's conditional faults and then
-//!    draws the planes of the word's faulted ops in op order. So the
-//!    table — and every estimate — is the same at any width.
+//!    draws the planes of the word's faulted ops in op order; an
+//!    external schedule is copied in and its planes drawn the same way.
+//!    So the table — and every estimate — is the same at any width.
 //! 2. **Execute** (`execute`): the program runs against the table and
 //!    draws nothing. A native op runs its wide kernel, then a blend that
 //!    is branch-free across the `W` words (lanes under the mask take the
-//!    table's planes). A segment clean in every word takes the one-pass
+//!    table's planes); below 3 in 10 faulted ops, ops clean in every
+//!    word skip it. A segment clean in every word takes the one-pass
 //!    affine transform; a dirty one patches or replays, reading the
 //!    table.
 //!
@@ -99,7 +101,7 @@ use crate::circuit::Circuit;
 use crate::engine::{fill_fault_planes, FaultTable, NEVER};
 use crate::gate::Gate;
 use crate::op::Op;
-use crate::wire::Wire;
+use crate::wire::{Support, Wire};
 use rand::rngs::SmallRng;
 use rand::Rng;
 
@@ -141,6 +143,8 @@ pub(crate) struct NativeOp {
     pub op: Op,
     /// Index of the op in the original stream (its fault site).
     pub op_index: u32,
+    /// `op.support()`, resolved once for the blend.
+    pub support: Support,
 }
 
 /// One output row of a fused segment: `out = XOR(inputs in mask) ⊕ konst`.
@@ -311,6 +315,7 @@ pub(crate) fn compile(circuit: &Circuit, table: &FaultTable) -> CompiledOps {
                 micro.push(MicroOp::Native(NativeOp {
                     op: ops[i],
                     op_index: i as u32,
+                    support: ops[i].support(),
                 }));
                 i += 1;
             }
@@ -816,10 +821,13 @@ pub(crate) struct ExecScratch {
     /// Per word, a bit set over ops with a nonzero mask (`stride` words
     /// each): the op-order walk of the plane draws.
     touched: Vec<u64>,
+    /// Bit set over ops with a nonzero mask in any word of the group:
+    /// its density picks the blend (see [`execute`]).
+    faulted_ops: Vec<u64>,
     /// Per word: lanes with at least one fault.
     faulted: [u64; 4],
     /// `(op, lane)` fault events over the group.
-    fault_events: u64,
+    pub(crate) fault_events: u64,
     /// Snapshot of the segment's input planes (flat: `position * W + w`).
     inp: Vec<u64>,
     /// Projected boundary planes (flat, same layout).
@@ -827,15 +835,21 @@ pub(crate) struct ExecScratch {
 }
 
 impl ExecScratch {
-    /// Sizes the table for `n_ops` ops of `width` words and clears it.
-    pub(crate) fn begin(&mut self, n_ops: usize, width: usize) {
+    /// Sizes the table for `n_ops` ops of `width` words and clears it —
+    /// the masks only if `zero_masks` (a filler that writes every slot
+    /// passes `false`).
+    pub(crate) fn begin(&mut self, n_ops: usize, width: usize, zero_masks: bool) {
         self.width = width;
         self.stride = n_ops.div_ceil(64);
-        self.masks.clear();
+        if zero_masks {
+            self.masks.clear();
+        }
         self.masks.resize(n_ops * width, 0);
         self.planes.resize(n_ops * 4 * width, 0);
         self.touched.clear();
         self.touched.resize(self.stride * width, 0);
+        self.faulted_ops.clear();
+        self.faulted_ops.resize(self.stride, 0);
         self.faulted = [0; 4];
         self.fault_events = 0;
     }
@@ -843,31 +857,36 @@ impl ExecScratch {
     /// Phase 1 of a sampled group, exactly the raw loop's draw order per
     /// word: per fallible op in op order one mask draw from the word's
     /// RNG, then one full plane per support wire when the mask is
-    /// nonzero. Words interleave per op; each RNG sees only its own
-    /// word's draws, so the stream is the same at every width.
+    /// nonzero. Each RNG sees only its own word's draws, so the stream is
+    /// the same at every width. Every mask slot is written (zero where
+    /// no fault lands), so the masks are not cleared first.
     pub(crate) fn sample<const W: usize>(&mut self, table: &FaultTable, rngs: &mut [SmallRng; W]) {
-        self.begin(table.n_ops(), W);
-        let (mut events, mut faulted) = (0u64, [0u64; W]);
-        for (i, (&s, &arity)) in table.sampler_of.iter().zip(&table.arity).enumerate() {
-            if s == NEVER {
-                continue;
-            }
-            let sampler = &table.samplers[s];
-            for (w, rng) in rngs.iter_mut().enumerate() {
-                let mask = sampler.sample(rng);
+        self.begin(table.n_ops(), W, false);
+        for (w, word_rng) in rngs.iter_mut().enumerate() {
+            // A local generator stays in registers across the op loop.
+            let (mut rng, mut events, mut faulted) = (word_rng.clone(), 0, 0);
+            let rows = self.masks.chunks_exact_mut(W);
+            let sites = table.sampler_of.iter().zip(&table.arity);
+            let slots = sites.zip(rows.zip(self.planes.chunks_exact_mut(4 * W)));
+            for (i, ((&s, &arity), (mask_row, plane_row))) in slots.enumerate() {
+                let (mask, faults) = match s {
+                    NEVER => (0, 0),
+                    s => table.samplers[s].sample(&mut rng),
+                };
+                mask_row[w] = mask;
                 if mask == 0 {
                     continue;
                 }
-                self.masks[i * W + w] = mask;
+                self.faulted_ops[i / 64] |= 1u64 << (i % 64);
                 for k in 0..arity as usize {
-                    self.planes[(i * 4 + k) * W + w] = rng.random::<u64>();
+                    plane_row[k * W + w] = rng.random::<u64>();
                 }
-                events += u64::from(mask.count_ones());
-                faulted[w] |= mask;
+                events += u64::from(faults);
+                faulted |= mask;
             }
+            *word_rng = rng;
+            self.tally(w, events, faulted);
         }
-        self.faulted[..W].copy_from_slice(&faulted);
-        self.fault_events = events;
     }
 
     /// Schedules a fault of op `i` in `lane` of word `w`; `false` (and
@@ -883,6 +902,7 @@ impl ExecScratch {
         }
         *mask |= bit;
         self.touched[w * self.stride + i / 64] |= 1u64 << (i % 64);
+        self.faulted_ops[i / 64] |= 1u64 << (i % 64);
         true
     }
 
@@ -892,27 +912,27 @@ impl ExecScratch {
         self.faulted[w] |= faulted;
     }
 
-    /// Phase 1 for a precomputed schedule in the flat wide layout (which
-    /// [`execute_schedule`] then runs in place of the table's masks):
-    /// draws word `w`'s planes in op order from `rngs[w]`.
+    /// Phase 1 for a precomputed schedule in the flat wide layout
+    /// `masks[i * W + w]`: copies it into the table, then draws word
+    /// `w`'s planes in op order from `rngs[w]`.
     pub(crate) fn load_schedule(&mut self, masks: &[u64], arity: &[u8], rngs: &mut [SmallRng]) {
+        self.begin(arity.len(), rngs.len(), false);
+        self.masks.copy_from_slice(masks);
         for (i, row) in masks.chunks_exact(self.width).enumerate() {
             if row.iter().fold(0u64, |a, &m| a | m) == 0 {
                 continue;
             }
-            for (w, (&mask, rng)) in row.iter().zip(rngs.iter_mut()).enumerate() {
+            self.faulted_ops[i / 64] |= 1u64 << (i % 64);
+            for (w, &mask) in row.iter().enumerate() {
                 if mask != 0 {
-                    self.draw_fault_planes(i, w, mask, arity[i], rng);
-                    self.fault_events += u64::from(mask.count_ones());
-                    self.faulted[w] |= mask;
+                    self.touched[w * self.stride + i / 64] |= 1u64 << (i % 64);
+                    self.tally(w, u64::from(mask.count_ones()), mask);
                 }
             }
         }
-    }
-
-    /// `(op, lane)` fault events scheduled in the group so far.
-    pub(crate) fn fault_events(&self) -> u64 {
-        self.fault_events
+        for (w, rng) in rngs.iter_mut().enumerate() {
+            self.draw_planes(arity, w, rng);
+        }
     }
 
     /// Draws word `w`'s random planes for its scheduled faults, in op
@@ -923,19 +943,12 @@ impl ExecScratch {
             while bits != 0 {
                 let i = chunk * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                let mask = self.masks[i * self.width + w];
-                self.draw_fault_planes(i, w, mask, arity[i], rng);
+                let (mask, mut planes) = (self.masks[i * self.width + w], [0u64; 4]);
+                fill_fault_planes(arity[i] as usize, mask, rng, &mut planes);
+                for (k, plane) in planes.into_iter().enumerate() {
+                    self.planes[(i * 4 + k) * self.width + w] = plane;
+                }
             }
-        }
-    }
-
-    /// Draws the planes of scheduled fault `(i, w)` into the table.
-    #[inline]
-    fn draw_fault_planes(&mut self, i: usize, w: usize, mask: u64, arity: u8, rng: &mut SmallRng) {
-        let mut planes = [0u64; 4];
-        fill_fault_planes(arity as usize, mask, rng, &mut planes);
-        for (k, plane) in planes.into_iter().enumerate() {
-            self.planes[(i * 4 + k) * self.width + w] = plane;
         }
     }
 }
@@ -975,20 +988,6 @@ pub(crate) fn execute<const W: usize>(
     batch: &mut BatchState,
     scratch: &mut ExecScratch,
 ) -> WideOutcome<W> {
-    let masks = std::mem::take(&mut scratch.masks);
-    let out = execute_schedule::<W>(compiled, batch, &masks, scratch);
-    scratch.masks = masks;
-    out
-}
-
-/// [`execute`] with the masks of `schedule` (flat wide layout) in place
-/// of the table's own, the planes [`ExecScratch::load_schedule`] drew.
-pub(crate) fn execute_schedule<const W: usize>(
-    compiled: &CompiledOps,
-    batch: &mut BatchState,
-    masks: &[u64],
-    scratch: &mut ExecScratch,
-) -> WideOutcome<W> {
     debug_assert_eq!(scratch.width, W);
     let mut out = WideOutcome {
         faulted: std::array::from_fn(|w| scratch.faulted[w]),
@@ -996,15 +995,17 @@ pub(crate) fn execute_schedule<const W: usize>(
         fused_segments: 0,
         replayed_segments: 0,
     };
-    // Dense tables (on average about every other op faulting somewhere in
-    // the group) blend every op: a clean-op test would mispredict there.
-    let dense = 2 * scratch.fault_events >= (masks.len() / W) as u64;
+    // Skipping ops clean in every word pays while few ops fault; from
+    // about 3 in 10 the test mispredicts more than blending them all
+    // costs (BENCH_NOTES: blend density sweep).
+    let faulted_ops: u32 = scratch.faulted_ops.iter().map(|b| b.count_ones()).sum();
+    let all = 10 * faulted_ops as usize >= 3 * scratch.masks.len() / W;
     for mop in &compiled.micro {
         match mop {
             MicroOp::Native(nat) => {
                 kernels::apply_wide::<W>(batch, &nat.op);
                 let i = nat.op_index as usize;
-                blend::<W>(batch, &nat.op, i, dense, masks, &scratch.planes);
+                blend::<W>(batch, &nat.support, i, all, &scratch.masks, &scratch.planes);
             }
             MicroOp::Affine(seg) => {
                 let seg = &compiled.segments[*seg as usize];
@@ -1012,7 +1013,7 @@ pub(crate) fn execute_schedule<const W: usize>(
                 // over the table tells a clean segment.
                 let lo = seg.start as usize * W;
                 let hi = lo + seg.sites.len() * W;
-                let dirty = masks[lo..hi].iter().fold(0u64, |a, &m| a | m) != 0;
+                let dirty = scratch.masks[lo..hi].iter().fold(0u64, |a, &m| a | m) != 0;
                 match &seg.mode {
                     FaultMode::Replay(ops) if dirty => {
                         // A faulted word left the ideal trajectory the
@@ -1023,12 +1024,19 @@ pub(crate) fn execute_schedule<const W: usize>(
                         for (site, op) in seg.sites.iter().zip(ops) {
                             kernels::apply_wide::<W>(batch, op);
                             let i = site.op_index as usize;
-                            blend::<W>(batch, op, i, dense, masks, &scratch.planes);
+                            blend::<W>(
+                                batch,
+                                &op.support(),
+                                i,
+                                all,
+                                &scratch.masks,
+                                &scratch.planes,
+                            );
                         }
                     }
                     _ => {
                         out.fused_segments += 1;
-                        apply_segment::<W>(seg, dirty, batch, masks, scratch);
+                        apply_segment::<W>(seg, dirty, batch, scratch);
                     }
                 }
             }
@@ -1039,22 +1047,23 @@ pub(crate) fn execute_schedule<const W: usize>(
 
 /// The fault action of op `i` after its ideal wide kernel: lanes in the
 /// table's mask take the table's random planes, the rest keep the
-/// kernel output. The blend is branch-free across the `W` words; unless
-/// the table is `dense`, an op clean in all of them skips it.
+/// kernel output. Branch-free across the `W` words (a zero mask leaves
+/// the planes as they are); unless `all`, an op clean in every word
+/// skips it.
 #[inline]
 fn blend<const W: usize>(
     batch: &mut BatchState,
-    op: &Op,
+    support: &Support,
     i: usize,
-    dense: bool,
+    all: bool,
     masks: &[u64],
     planes: &[u64],
 ) {
     let masks = &masks[i * W..(i + 1) * W];
-    if !dense && masks.iter().fold(0u64, |a, &m| a | m) == 0 {
+    if !all && masks.iter().fold(0u64, |a, &m| a | m) == 0 {
         return;
     }
-    for (k, &wire) in op.support().as_slice().iter().enumerate() {
+    for (k, &wire) in support.as_slice().iter().enumerate() {
         let rand = &planes[(i * 4 + k) * W..(i * 4 + k + 1) * W];
         let mut v = batch.wide::<W>(wire);
         for ((x, &m), &r) in v.iter_mut().zip(masks).zip(rand) {
@@ -1071,7 +1080,6 @@ fn apply_segment<const W: usize>(
     seg: &AffineSegment,
     dirty: bool,
     batch: &mut BatchState,
-    masks: &[u64],
     scratch: &mut ExecScratch,
 ) {
     let n = seg.wires.len();
@@ -1102,7 +1110,7 @@ fn apply_segment<const W: usize>(
     }
     for site in &seg.sites {
         let i = site.op_index as usize;
-        let masks = &masks[i * W..(i + 1) * W];
+        let masks = &scratch.masks[i * W..(i + 1) * W];
         if masks.iter().fold(0u64, |a, &m| a | m) == 0 {
             continue;
         }
