@@ -81,7 +81,7 @@ fn level2_plain_outcome_is_pinned() {
 fn level2_dense_plain_outcome_is_pinned() {
     let opts = McOptions::new(65_536).seed(29).estimator(Estimator::Plain);
     let pins = outcome_pin(2e-2, &opts);
-    let want: Pin = (14, 65_536, 1_024, vec![]);
+    let want: Pin = (9, 65_536, 1_024, vec![]);
     for pin in &pins {
         assert_eq!(pin, &want);
     }

@@ -5,12 +5,10 @@
 //! 585-op level-2 concatenated Toffoli):
 //!
 //! - `run_*` — the **sampled** word loop (`batch_raw_exec`-equivalent,
-//!   same `g = 1/165` noise as BENCH_batch.json): `run_raw_w1` is the
-//!   pre-IR [`Engine::run_batch`]; `run_fused_w1`/`run_fused_w4` is the
-//!   compiled program via [`Engine::run_batch_fused`]. This loop is
-//!   bounded by the pinned RNG stream (one mask draw per op per word,
-//!   plus every fault's placement and plane draws), so the win here is
-//!   the kernel/dispatch share only.
+//!   same `g = 1/165` noise as BENCH_batch.json): `run_raw_w1` is
+//!   [`Engine::run_batch`], the lane-major schedule then the op-at-a-time
+//!   masked loop; `run_fused_w1`/`run_fused_w4` is the same schedule and
+//!   the compiled program via [`Engine::run_batch_fused`].
 //! - `masked_*` — the **masked** word loop (the stratified rare-event
 //!   executor, [`Engine::run_batch_masked`] vs the raw reference):
 //!   `clean` runs an all-clear schedule (the fused floor — what a
@@ -23,6 +21,8 @@
 //!   level-2 stratified word into its other two phases: the fault-table
 //!   fill alone (conditional placement + plane draws, strata `k = 4..7+`
 //!   in turn) and judging one faulted word alone.
+//!   `plain_schedule_only` is the fill of a plain level-2 word at
+//!   `g = 10⁻²` (faulted lanes, `K | K ≥ 1` placement, plane draws).
 //!
 //! Throughput is lanes (trials) per iteration so criterion's elements/s
 //! are comparable across widths. `stratified_width` times the full
@@ -178,11 +178,18 @@ fn fused_vs_raw(c: &mut Criterion) {
     group.finish();
 }
 
-/// The two non-kernel phases of a level-2 stratified word, timed alone.
+/// The two non-kernel phases of a level-2 stratified word, and the fill
+/// of a plain level-2 word, timed alone.
 fn stratified_split(group: &mut criterion::BenchmarkGroup<'_>) {
     let mc = ConcatMc::new(2, toffoli(), 1);
-    let engine = mc.engine(&UniformNoise::new(1e-3));
+    let plain = mc.engine(&UniformNoise::new(1e-2));
     group.throughput(Throughput::Elements(256));
+    group.bench_function("plain_schedule_only/level2", |b| {
+        let mut rngs: [SmallRng; 4] =
+            std::array::from_fn(|k| SmallRng::seed_from_u64(17 + k as u64));
+        b.iter(|| black_box(plain.schedule_plain_only(&mut rngs[..])));
+    });
+    let engine = mc.engine(&UniformNoise::new(1e-3));
     group.bench_function("stratified_schedule_only/level2", |b| {
         let mut rngs: [SmallRng; 4] =
             std::array::from_fn(|k| SmallRng::seed_from_u64(11 + k as u64));

@@ -119,15 +119,15 @@ mod tests {
         let c = recovery_like_circuit();
         let noise = UniformNoise::new(0.1);
         let engine = Engine::compile(&c, &noise);
-        let mut batch_a = BatchState::zeros(9, 2);
-        let mut batch_b = BatchState::zeros(9, 2);
+        let mut batch_a = BatchState::zeros(9, 1);
+        let mut batch_b = BatchState::zeros(9, 1);
         let mut rng_a = SmallRng::seed_from_u64(11);
         let mut rng_b = SmallRng::seed_from_u64(11);
         let a = engine.run_batch(&mut batch_a, &mut rng_a);
         let b = engine.run_batch(&mut batch_b, &mut rng_b);
         assert_eq!(a, b);
         assert_eq!(batch_a, batch_b);
-        assert!(a.fault_events > 0, "g = 0.1 over 2 words should fault");
+        assert!(a.fault_events > 0, "g = 0.1 over 64 lanes should fault");
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! The pieces:
 //!
 //! - [`Engine`] — the compile-once artifact: the flattened operation
-//!   stream plus the per-operation fault probabilities and the exact
-//!   binomial fault-mask samplers derived from a bound [`NoiseModel`].
+//!   stream plus the per-operation fault probabilities, grouped by rate,
+//!   derived from a bound [`NoiseModel`].
 //!   Compiling is one pass over the circuit; an `Engine` is then reused
 //!   across as many runs as needed.
 //! - [`McOptions`] — the typed Monte-Carlo run configuration: `trials`,
@@ -31,16 +31,19 @@
 //! (256) trials up and `"scalar"` below; explicit kinds pass through.
 //!
 //! Every word derives its RNG stream from `(seed, global word index)` and
-//! consumes it in one fixed order — the word's inputs, one fault mask per
-//! fallible operation, then one random plane per support wire of
-//! faulting operations, all drawn into a fault table before the word's
-//! group executes — so a seed fixes the outcome at any width and thread
-//! count. The op-at-a-time loops behind [`Engine::run_batch`] and
-//! [`Engine::run_batch_masked_raw`] consume the same stream: they are the
-//! reference the compiled program is tested (`tests/microop_fusion.rs`)
-//! and benchmarked (`fused_vs_raw`) against, and
-//! `tests/batch_equivalence.rs` checks their masked kernel lane by lane
-//! against [`Op::apply`].
+//! consumes it in one fixed order, all drawn into a fault table before
+//! the word's group executes: the word's inputs, then its lane-major
+//! fault schedule, then one random plane per support wire of each
+//! faulted op, in op order. A seed fixes the outcome at any width and
+//! thread count. Both estimators' word loops draw the schedule through
+//! one routine: a plain word picks the lanes with any fault and gives
+//! each a count `K | K ≥ 1`; a stratified word gives every lane its
+//! stratum's count. [`Engine::run_batch`] draws the plain schedule the
+//! same way and runs it through the op-at-a-time masked loop behind
+//! [`Engine::run_batch_masked_raw`]: that loop is the reference the
+//! compiled program is tested (`tests/microop_fusion.rs`) and
+//! benchmarked (`fused_vs_raw`) against, and `tests/batch_equivalence.rs`
+//! checks its masked kernel lane by lane against [`Op::apply`].
 //!
 //! # Rare-event estimation
 //!
@@ -193,14 +196,18 @@ thread_local! {
 }
 
 // ---------------------------------------------------------------------------
-// Fault table: per-op probabilities + exact binomial mask samplers
+// Fault table: per-op probabilities, grouped by rate
 // ---------------------------------------------------------------------------
 
-/// Per-operation fault-mask sampler: the CDF of `Binomial(64, p)`.
+/// A 64-lane Bernoulli(p) mask sampler: the CDF of `Binomial(64, r)`
+/// for `r = min(p, 1 − p)`, so a rate near 1 (a level-2 word's
+/// `P(K ≥ 1)`) samples its few clean lanes instead of underflowing.
 #[derive(Debug, Clone)]
 pub(crate) struct MaskSampler {
-    /// `cdf[k]` = P(number of faulting lanes ≤ k); `cdf[64] = 1`.
+    /// `cdf[k]` = P(at most k lanes drawn at rate `r`); `cdf[64] = 1`.
     cdf: Vec<f64>,
+    /// `p > 1/2`: the drawn lanes are the clean ones.
+    invert: bool,
 }
 
 impl MaskSampler {
@@ -209,47 +216,35 @@ impl MaskSampler {
             (0.0..=1.0).contains(&p),
             "fault probability must be in [0,1], got {p}"
         );
+        let (r, invert) = if p > 0.5 { (1.0 - p, true) } else { (p, false) };
         let mut cdf = vec![1.0; 65];
-        if p == 0.0 {
-            return MaskSampler { cdf };
-        }
-        if p == 1.0 {
-            for c in cdf.iter_mut().take(64) {
-                *c = 0.0;
+        if r > 0.0 {
+            let ratio = r / (1.0 - r);
+            let mut pmf = (1.0 - r).powi(64);
+            let mut acc = 0.0;
+            for (k, c) in cdf.iter_mut().enumerate().take(64) {
+                acc += pmf;
+                *c = acc.min(1.0);
+                pmf *= ratio * (64 - k) as f64 / (k + 1) as f64;
             }
-            return MaskSampler { cdf };
         }
-        let ratio = p / (1.0 - p);
-        let mut pmf = (1.0 - p).powi(64);
-        let mut acc = 0.0;
-        for (k, c) in cdf.iter_mut().enumerate().take(64) {
-            acc += pmf;
-            *c = acc.min(1.0);
-            pmf *= ratio * (64 - k) as f64 / (k + 1) as f64;
-        }
-        MaskSampler { cdf }
+        MaskSampler { cdf, invert }
     }
 
-    /// Draws a 64-lane fault mask distributed as 64 i.i.d. Bernoulli(p)
-    /// bits, and its fault count: one exact binomial draw for the count,
-    /// then uniform placement — one `f64` sample in the common zero-fault
-    /// case.
+    /// Draws a 64-lane mask of i.i.d. Bernoulli(p) bits: one exact
+    /// binomial draw for the count, then uniform placement — one `f64`
+    /// sample when no lane is drawn.
     #[inline]
-    pub(crate) fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> (u64, u32) {
+    pub(crate) fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
         let u: f64 = rng.random();
-        // Fast path: no faults in this word.
-        if u < self.cdf[0] {
-            return (0, 0);
-        }
-        let mut k = 1usize;
+        let mut k = 0usize;
         while k < 64 && u >= self.cdf[k] {
             k += 1;
         }
         // Choose k distinct lane positions uniformly. For k > 32 place the
-        // complement instead (fewer rejections). The draw is the exact
-        // `random_range(0..64)` stream — for a power-of-two span Lemire's
-        // rejection zone is empty and the map is the top six bits — spelt
-        // out to keep the hardware division out of this hot path.
+        // complement instead (fewer rejections). For a power-of-two span
+        // `random_range(0..64)` is the top six bits of one draw, spelt out
+        // to keep the hardware division out of this hot path.
         let (count, invert) = if k <= 32 { (k, false) } else { (64 - k, true) };
         let mut mask = 0u64;
         let mut placed = 0usize;
@@ -260,35 +255,36 @@ impl MaskSampler {
                 placed += 1;
             }
         }
-        (if invert { !mask } else { mask }, k as u32)
+        if invert != self.invert {
+            !mask
+        } else {
+            mask
+        }
     }
 }
 
 /// A [`NoiseModel`] lowered against one circuit: per-op fault
-/// probabilities plus one mask sampler per distinct probability.
+/// probabilities, grouped by rate.
 #[derive(Debug, Clone)]
 pub(crate) struct FaultTable {
     /// Fault probability per operation.
     pub(crate) probs: Vec<f64>,
-    /// Sampler index per operation ([`NEVER`] = never faults).
-    pub(crate) sampler_of: Vec<usize>,
+    /// Rate group per operation ([`NEVER`] = never faults).
+    group_of: Vec<usize>,
     /// Support size per operation (random planes a fault consumes).
     pub(crate) arity: Vec<u8>,
-    pub(crate) samplers: Vec<MaskSampler>,
-    /// Fault probability per sampler (one per distinct nonzero rate).
-    sampler_rates: Vec<f64>,
+    /// Fault probability per rate group (one per distinct nonzero rate).
+    group_rates: Vec<f64>,
     /// `Π (1 − p_i)`: probability that one trial executes fault-free.
     p_fault_free: f64,
 }
 
 impl FaultTable {
     pub(crate) fn compile<N: NoiseModel + ?Sized>(circuit: &Circuit, noise: &N) -> Self {
-        let mut rates: Vec<u64> = Vec::new();
-        let mut samplers = Vec::new();
-        let mut sampler_rates = Vec::new();
+        let mut group_rates: Vec<f64> = Vec::new();
         let mut probs = Vec::with_capacity(circuit.len());
         let mut p_fault_free = 1.0f64;
-        let sampler_of = circuit
+        let group_of = circuit
             .ops()
             .iter()
             .map(|op| {
@@ -302,30 +298,22 @@ impl FaultTable {
                 if p <= 0.0 {
                     return NEVER;
                 }
-                let bits = p.to_bits();
-                match rates.iter().position(|&r| r == bits) {
+                match group_rates.iter().position(|r| r.to_bits() == p.to_bits()) {
                     Some(i) => i,
                     None => {
-                        rates.push(bits);
-                        samplers.push(MaskSampler::new(p));
-                        sampler_rates.push(p);
-                        samplers.len() - 1
+                        group_rates.push(p);
+                        group_rates.len() - 1
                     }
                 }
             })
             .collect();
         FaultTable {
             probs,
-            sampler_of,
+            group_of,
             arity: circuit.ops().iter().map(|op| op.arity() as u8).collect(),
-            samplers,
-            sampler_rates,
+            group_rates,
             p_fault_free,
         }
-    }
-
-    pub(crate) fn n_ops(&self) -> usize {
-        self.sampler_of.len()
     }
 }
 
@@ -335,18 +323,18 @@ impl FaultTable {
 
 /// The per-trial fault-count distribution of a compiled circuit — a
 /// Poisson binomial over the per-op Bernoulli fault indicators, factored
-/// through the engine's *rate groups* (ops sharing one probability, i.e.
-/// one [`MaskSampler`]), so a group's contribution is an exact
-/// `Binomial(n_j, p_j)`.
+/// through the engine's *rate groups* (ops sharing one probability), so
+/// a group's contribution is an exact `Binomial(n_j, p_j)`.
 ///
 /// Built lazily (once per [`Engine`]) by [`Engine::fault_dist`]; powers
-/// the [`Estimator::Stratified`] weights and the conditional fault
-/// placement. PMFs are truncated where the remaining tail mass drops
-/// below [`PMF_TAIL_EPS`]; the stratified estimator is exactly unbiased
-/// for the truncated distribution.
+/// the [`Estimator::Stratified`] weights and every word's lane-major
+/// fault placement ([`FaultCountDist::place_lanes`]). PMFs are truncated
+/// where the remaining tail mass drops below [`PMF_TAIL_EPS`]; the
+/// stratified estimator is exactly unbiased for the truncated
+/// distribution.
 #[derive(Debug, Clone)]
 pub(crate) struct FaultCountDist {
-    /// Rate groups in sampler order.
+    /// Rate groups in order of first appearance.
     groups: Vec<FaultGroup>,
     /// `suffix[j][k]` = P(groups `j..` contribute exactly `k` faults);
     /// `suffix[0]` is the full fault-count PMF. `suffix[m]` = `[1.0]`.
@@ -437,7 +425,7 @@ impl FaultCountDist {
 
     fn build(table: &FaultTable) -> Self {
         let mut groups: Vec<FaultGroup> = table
-            .sampler_rates
+            .group_rates
             .iter()
             .map(|_| FaultGroup {
                 ops: Vec::new(),
@@ -445,12 +433,12 @@ impl FaultCountDist {
                 threshold: 0,
             })
             .collect();
-        for (i, &s) in table.sampler_of.iter().enumerate() {
+        for (i, &s) in table.group_of.iter().enumerate() {
             if s != NEVER {
                 groups[s].ops.push(i as u32);
             }
         }
-        for (group, &rate) in groups.iter_mut().zip(&table.sampler_rates) {
+        for (group, &rate) in groups.iter_mut().zip(&table.group_rates) {
             group.pmf = binomial_pmf(group.ops.len(), rate);
             let span = group.ops.len() as u64;
             group.threshold = span.wrapping_neg() % span;
@@ -536,6 +524,98 @@ impl FaultCountDist {
             rem -= t;
         }
     }
+
+    /// Phase 1's placement for word `w`, lane-major — the one schedule
+    /// routine of both word loops. Each lane of `lanes`, in ascending
+    /// order, draws its fault count from `count` and places exactly that
+    /// many distinct faults straight into the table via
+    /// [`FaultCountDist::sample_exact`]. The plain loop passes the lanes
+    /// with any fault and `K | K ≥ 1` ([`PlainPlan`]); the stratified loop
+    /// passes every lane and its stratum's count. The caller then draws
+    /// the word's planes in op order ([`ExecScratch::draw_planes`]).
+    fn place_lanes(
+        &self,
+        lanes: u64,
+        mut count: impl FnMut(&mut SmallRng) -> usize,
+        w: usize,
+        rng: &mut SmallRng,
+        scratch: &mut ExecScratch,
+    ) {
+        let mut picks = std::mem::take(&mut scratch.picks);
+        let (mut events, mut faulted, mut bits) = (0u64, 0u64, lanes);
+        while bits != 0 {
+            let lane = bits.trailing_zeros();
+            bits &= bits - 1;
+            let k = count(rng);
+            let before = events;
+            self.sample_exact(k, rng, &mut picks, |op| {
+                let placed = scratch.place(op, w, lane);
+                events += u64::from(placed);
+                placed
+            });
+            faulted |= u64::from(events != before) << lane;
+        }
+        scratch.picks = picks;
+        scratch.tally(w, events, faulted);
+    }
+}
+
+/// The law of one lane's fault count conditioned on `K ≥ lo`: a CDF over
+/// `lo..=max_k` whose top bin absorbs the truncated tail mass.
+#[derive(Debug)]
+struct CountCdf {
+    lo: usize,
+    cdf: Vec<f64>,
+}
+
+impl CountCdf {
+    fn at_least(dist: &FaultCountDist, lo: usize) -> Self {
+        let mut acc = 0.0;
+        let mut cdf: Vec<f64> = (lo..=dist.max_k().max(lo))
+            .map(|k| {
+                acc += dist.pmf_at(k);
+                acc
+            })
+            .collect();
+        if let Some(last) = cdf.last_mut() {
+            *last += dist.tail_beyond;
+        }
+        CountCdf { lo, cdf }
+    }
+
+    fn sample(&self, rng: &mut SmallRng) -> usize {
+        let total = self.cdf.last().copied().unwrap_or(0.0);
+        let u = rng.random::<f64>() * total;
+        let pos = self.cdf.partition_point(|&c| c <= u);
+        self.lo + pos.min(self.cdf.len() - 1)
+    }
+}
+
+/// The plain word's memoized schedule law ([`Engine::plain_plan`]): every
+/// lane faults at all with `P(K ≥ 1)`, independently, and a faulted lane
+/// then holds `K | K ≥ 1` faults placed by the exact conditional law —
+/// the per-op Bernoulli law, up to the PMF's truncation.
+#[derive(Debug)]
+struct PlainPlan {
+    /// Lanes with any fault.
+    lanes: MaskSampler,
+    /// A faulted lane's fault count.
+    counts: CountCdf,
+}
+
+impl PlainPlan {
+    /// Phase 1's placement for plain word `w` (see
+    /// [`FaultCountDist::place_lanes`]).
+    fn place(
+        &self,
+        dist: &FaultCountDist,
+        w: usize,
+        rng: &mut SmallRng,
+        scratch: &mut ExecScratch,
+    ) {
+        let lanes = self.lanes.sample(rng);
+        dist.place_lanes(lanes, |rng| self.counts.sample(rng), w, rng, scratch);
+    }
 }
 
 impl FaultGroup {
@@ -597,55 +677,6 @@ impl FaultGroup {
             }
         }
     }
-}
-
-/// The op-at-a-time sampled word loop behind [`Engine::run_batch`]: the
-/// reference executor the compiled program is checked against.
-pub(crate) fn run_batch_words<R: Rng + ?Sized>(
-    circuit: &Circuit,
-    table: &FaultTable,
-    batch: &mut BatchState,
-    rng: &mut R,
-) -> BatchExecReport {
-    assert_eq!(
-        batch.n_wires(),
-        circuit.n_wires(),
-        "batch width must match circuit width"
-    );
-    assert_eq!(
-        table.n_ops(),
-        circuit.len(),
-        "compiled noise does not match this circuit"
-    );
-    let words = batch.words_per_wire();
-    let mut report = BatchExecReport {
-        fault_events: 0,
-        faulted_lanes: vec![0; words],
-    };
-    for (op, &sampler_idx) in circuit.ops().iter().zip(&table.sampler_of) {
-        if sampler_idx == NEVER {
-            for word in 0..words {
-                kernels::apply_word(batch, op, word);
-            }
-            continue;
-        }
-        let sampler = &table.samplers[sampler_idx];
-        for word in 0..words {
-            let (fault, _) = sampler.sample(rng);
-            if fault == 0 {
-                kernels::apply_word(batch, op, word);
-            } else {
-                let mut rand_planes = [0u64; 4];
-                for plane in rand_planes.iter_mut().take(op.arity()) {
-                    *plane = rng.random::<u64>();
-                }
-                kernels::apply_word_masked(batch, op, word, fault, &rand_planes);
-                report.fault_events += fault.count_ones() as u64;
-                report.faulted_lanes[word] |= fault;
-            }
-        }
-    }
-    report
 }
 
 /// Executes one 64-lane word under a **precomputed** per-op fault-mask
@@ -732,9 +763,11 @@ pub(crate) fn fill_fault_planes(
 pub struct Engine {
     circuit: Circuit,
     table: FaultTable,
-    /// Fault-count distribution, built on first stratified use (compiling
-    /// stays a single cheap pass for plain-only consumers).
+    /// Fault-count distribution, built on first use by either word loop
+    /// or [`Engine::run_batch`] (compiling stays a single cheap pass).
     dist: OnceLock<FaultCountDist>,
+    /// The plain word's schedule law, derived from `dist` once.
+    plain: OnceLock<PlainPlan>,
     /// Micro-op program (linear-segment fusion + wide kernels), built on
     /// first word-loop use — [`Engine::compile`] itself stays a single
     /// cheap pass.
@@ -759,6 +792,7 @@ impl Clone for Engine {
             circuit: self.circuit.clone(),
             table: self.table.clone(),
             dist,
+            plain: OnceLock::new(),
             compiled,
             plans: Mutex::new(self.plans.lock().map(|g| g.clone()).unwrap_or_default()),
         }
@@ -776,6 +810,7 @@ impl Engine {
             circuit: circuit.clone(),
             table: FaultTable::compile(circuit, noise),
             dist: OnceLock::new(),
+            plain: OnceLock::new(),
             compiled: OnceLock::new(),
             plans: Mutex::new(Vec::new()),
         }
@@ -810,7 +845,8 @@ impl Engine {
 
     /// Approximate resident size of this compiled engine in bytes: the
     /// op stream, the fault table, and whatever lazy artifacts (fault-
-    /// count distribution, micro-op program) have been built so far.
+    /// count distribution, plain and stratified schedule plans, micro-op
+    /// program) have been built so far.
     ///
     /// An estimate, not an allocator census — it is the size input of the
     /// compile cache's cost-based eviction policy, where only relative
@@ -820,11 +856,17 @@ impl Engine {
         let mut bytes = size_of::<Engine>();
         bytes += std::mem::size_of_val::<[Op]>(self.circuit.ops());
         bytes += self.table.probs.len() * size_of::<f64>();
-        bytes += self.table.sampler_of.len() * size_of::<usize>();
-        bytes += self.table.samplers.len() * 65 * size_of::<f64>();
-        bytes += self.table.sampler_rates.len() * size_of::<f64>();
+        bytes += self.table.group_of.len() * size_of::<usize>();
+        bytes += self.table.arity.len();
+        bytes += self.table.group_rates.len() * size_of::<f64>();
         if let Some(dist) = self.dist.get() {
             bytes += dist.approx_bytes();
+        }
+        if let Some(plan) = self.plain.get() {
+            bytes += size_of::<PlainPlan>() + (65 + plan.counts.cdf.len()) * size_of::<f64>();
+        }
+        if let Ok(plans) = self.plans.lock() {
+            bytes += plans.iter().map(|p| p.approx_bytes()).sum::<usize>();
         }
         if let Some(ops) = self.compiled.get() {
             bytes += ops.approx_bytes();
@@ -866,6 +908,17 @@ impl Engine {
     /// The lazily built fault-count distribution.
     pub(crate) fn fault_dist(&self) -> &FaultCountDist {
         self.dist.get_or_init(|| FaultCountDist::build(&self.table))
+    }
+
+    /// The memoized plain schedule law (see [`PlainPlan`]).
+    fn plain_plan(&self) -> &PlainPlan {
+        self.plain.get_or_init(|| {
+            let dist = self.fault_dist();
+            PlainPlan {
+                lanes: MaskSampler::new(dist.mass_at_least(1)),
+                counts: CountCdf::at_least(dist, 1),
+            }
+        })
     }
 
     /// The PMF of the per-trial fault count `K` — a Poisson binomial over
@@ -931,19 +984,21 @@ impl Engine {
         report
     }
 
-    /// Runs the circuit over every lane of `batch`, op at a time on the
-    /// bit-plane kernels — the reference the compiled word loop is
-    /// checked against.
+    /// Runs the circuit over the 64 lanes of a one-word `batch`, op at a
+    /// time on the bit-plane kernels — the reference the compiled word
+    /// loop is checked against. It draws the plain word's schedule the
+    /// way the word loops do, then runs it through
+    /// [`Engine::run_batch_masked_raw`]'s loop, which draws the planes.
     ///
     /// # Panics
     ///
-    /// Panics if the batch width does not match the circuit width.
-    pub fn run_batch<R: Rng + ?Sized>(
-        &self,
-        batch: &mut BatchState,
-        rng: &mut R,
-    ) -> BatchExecReport {
-        run_batch_words(&self.circuit, &self.table, batch, rng)
+    /// Panics unless `batch` is one word wide and matches the circuit.
+    pub fn run_batch(&self, batch: &mut BatchState, rng: &mut SmallRng) -> BatchExecReport {
+        SCRATCH.with_borrow_mut(|scratch| {
+            scratch.begin(self.n_ops(), 1, true);
+            self.plain_plan().place(self.fault_dist(), 0, rng, scratch);
+            run_masked_word_batch(&self.circuit, batch, scratch.masks(), rng)
+        })
     }
 
     /// Runs the **compiled micro-op program** (linear-segment fusion +
@@ -951,14 +1006,12 @@ impl Engine {
     /// batch.words_per_wire() = rngs.len() ∈ {1, 2, 4}` and logical word
     /// `w` draws all of its randomness from `rngs[w]`.
     ///
-    /// Schedule, then execute: every fault mask and random plane is drawn
-    /// first, in the raw loop's per-word order — one fault-mask draw per
-    /// fallible op, then one random plane per support wire of faulting
-    /// ops — and the program then runs against that table. Lanes are
-    /// bit-identical to `W` independent [`Engine::run_batch`] runs on
-    /// single-word batches at the same seeds. This is the word loop
-    /// behind [`Engine::estimate`]; it is public so benches can compare
-    /// it against the raw path.
+    /// Schedule, then execute: each word's lane-major fault schedule and
+    /// then its random planes are drawn first, and the program then runs
+    /// against that table. Lanes are bit-identical to `W` independent
+    /// [`Engine::run_batch`] runs on single-word batches at the same
+    /// seeds. This is the word loop behind [`Engine::estimate`]; it is
+    /// public so benches can compare it against the raw path.
     ///
     /// # Panics
     ///
@@ -984,9 +1037,8 @@ impl Engine {
             batch: &mut BatchState,
             rngs: &mut [SmallRng],
         ) -> BatchExecReport {
-            let rngs: &mut [SmallRng; W] = rngs.try_into().expect("len checked");
             SCRATCH.with_borrow_mut(|scratch| {
-                scratch.sample::<W>(&engine.table, rngs);
+                engine.schedule_plain(rngs, scratch);
                 microop::execute::<W>(engine.compiled(), batch, scratch).into()
             })
         }
@@ -1052,11 +1104,24 @@ impl Engine {
         }
     }
 
-    /// Phase 1 alone for one group of `rngs.len()` words of stratum
-    /// `stratum` in the `(min_faults, strata_cap)` layout: the
-    /// conditional fault placement and the plane draws, without inputs,
-    /// kernels or judging. Returns the group's fault events. A bench hook
-    /// (`stratified_schedule_only`); no estimator calls it.
+    /// Phase 1 alone for one group of `rngs.len()` plain words: the
+    /// lane-major placement and the plane draws, without inputs, kernels
+    /// or judging. Returns the group's fault events. A bench hook
+    /// (`plain_schedule_only`); no estimator calls it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the width is not 1 to 4.
+    #[doc(hidden)]
+    pub fn schedule_plain_only(&self, rngs: &mut [SmallRng]) -> u64 {
+        SCRATCH.with_borrow_mut(|scratch| {
+            self.schedule_plain(rngs, scratch);
+            scratch.fault_events
+        })
+    }
+
+    /// [`Engine::schedule_plain_only`] for words of stratum `stratum` in
+    /// the `(min_faults, strata_cap)` layout (`stratified_schedule_only`).
     ///
     /// # Panics
     ///
@@ -1070,14 +1135,25 @@ impl Engine {
         rngs: &mut [SmallRng],
     ) -> u64 {
         let plan = self.strata_plan(min_faults, strata_cap);
-        let mut place = Vec::new();
         SCRATCH.with_borrow_mut(|scratch| {
-            scratch.begin(self.circuit.len(), rngs.len(), true);
+            scratch.begin(self.n_ops(), rngs.len(), true);
             for (w, rng) in rngs.iter_mut().enumerate() {
-                self.schedule_stratified_word(&plan, stratum, w, rng, scratch, &mut place);
+                plan.place(self.fault_dist(), stratum, w, rng, scratch);
+                scratch.draw_planes(&self.table.arity, w, rng);
             }
             scratch.fault_events
         })
+    }
+
+    /// Phase 1 of a group of plain words, word `w` drawing from
+    /// `rngs[w]`: its lane-major placement, then its planes in op order.
+    fn schedule_plain(&self, rngs: &mut [SmallRng], scratch: &mut ExecScratch) {
+        let (plan, dist) = (self.plain_plan(), self.fault_dist());
+        scratch.begin(self.n_ops(), rngs.len(), true);
+        for (w, rng) in rngs.iter_mut().enumerate() {
+            plan.place(dist, w, rng, scratch);
+            scratch.draw_planes(&self.table.arity, w, rng);
+        }
     }
 
     /// The op-at-a-time masked word loop, kept as the raw reference the
@@ -1219,10 +1295,17 @@ impl Engine {
         let mut early_stopped = false;
         while done < total_words {
             let n = round_words.min(total_words - done);
-            let (f, e, x) =
-                self.run_word_span(run.width, trial, opts, done, done + n, threads, obs);
-            failures += f;
-            executed += e;
+            let (tallies, x) = self.run_span(
+                run.width,
+                trial,
+                opts,
+                Words::Plain,
+                done..done + n,
+                threads,
+                obs,
+            );
+            failures += tallies[0].0;
+            executed += tallies[0].1;
             extras.merge(x);
             done += n;
             if done >= total_words {
@@ -1250,110 +1333,123 @@ impl Engine {
         outcome
     }
 
-    /// Runs words `[start, end)` on the caller plus up to `threads − 1`
-    /// persistent helpers (see [`helpers::run_chunked`]), returning
-    /// `(failures, executed_trials, extras)`. Each participant opens an
+    /// Runs the slots `span` of `words` on the caller plus up to
+    /// `threads − 1` persistent helpers (see [`helpers::run_chunked`]),
+    /// returning per-tally `(failures, trials)` and the word extras.
+    /// Participants claim chunks of the span from one cursor, so a
+    /// stratified round's low-fault strata at its head and tail strata at
+    /// its end spread over every thread. Each participant opens an
     /// `engine.words` span on its own thread so the trace attributes
     /// word-loop time to the thread that spent it; the split itself never
     /// consults the collector.
     #[allow(clippy::too_many_arguments)]
-    fn run_word_span<T: WordTrial + ?Sized>(
+    fn run_span<T: WordTrial + ?Sized>(
         &self,
         width: usize,
         trial: &T,
         opts: &McOptions,
-        start: u64,
-        end: u64,
+        words: Words<'_>,
+        span: Range<u64>,
         threads: usize,
         obs: &Collector,
-    ) -> (u64, u64, WordExtras) {
-        helpers::run_chunked(threads, end - start, chunk_words(width), |claims| {
+    ) -> (Vec<(u64, u64)>, WordExtras) {
+        let start = span.start;
+        helpers::run_chunked(threads, span.end - start, chunk_words(width), |claims| {
             let _s = obs.span("engine.words");
-            let words = claims.map(|r| start + r.start..start + r.end);
+            let slots = claims.map(|r| start + r.start..start + r.end);
             match width {
-                2 => self.run_word_range_wide::<T, 2>(trial, opts, words),
-                4 => self.run_word_range_wide::<T, 4>(trial, opts, words),
-                _ => self.run_word_range_wide::<T, 1>(trial, opts, words),
+                2 => self.run_words::<T, 2>(trial, opts, words, slots),
+                4 => self.run_words::<T, 4>(trial, opts, words, slots),
+                _ => self.run_words::<T, 1>(trial, opts, words, slots),
             }
         })
         .into_iter()
         .fold(
-            (0, 0, WordExtras::default()),
-            |(f, e, mut x), (df, de, dx)| {
-                x.merge(dx);
-                (f + df, e + de, x)
+            (vec![(0u64, 0u64); words.tallies()], WordExtras::default()),
+            |(mut acc, mut x), (part, px)| {
+                add_tallies(&mut acc, &part);
+                x.merge(px);
+                (acc, x)
             },
         )
     }
 
-    /// The compiled word loop: `W` logical words per iteration through
-    /// the fused micro-op program, each word on its own seed-derived RNG
-    /// stream (so results are bit-identical to the `W = 1` loop at any
-    /// width and thread count).
-    fn run_word_range_wide<T: WordTrial + ?Sized, const W: usize>(
+    /// The compiled word loop of both estimators: `W` logical words per
+    /// iteration through the fused micro-op program, each word on its own
+    /// seed-derived RNG stream (prepare → lane-major schedule → planes in
+    /// op order, all drawn before the group executes), so results are
+    /// bit-identical to the `W = 1` loop at any width and thread count.
+    fn run_words<T: WordTrial + ?Sized, const W: usize>(
         &self,
         trial: &T,
         opts: &McOptions,
-        words: impl Iterator<Item = Range<u64>>,
-    ) -> (u64, u64, WordExtras) {
-        let compiled = self.compiled();
+        words: Words<'_>,
+        slots: impl Iterator<Item = Range<u64>>,
+    ) -> (Vec<(u64, u64)>, WordExtras) {
+        let (compiled, dist) = (self.compiled(), self.fault_dist());
         let n_wires = self.circuit.n_wires();
         let mut wide = BatchState::zeros(n_wires, W);
         let mut col = BatchState::zeros(n_wires, 1);
         let mut inputs: [Vec<u64>; W] = std::array::from_fn(|_| Vec::new());
         let mut scratch = ExecScratch::default();
         let judge_faulted_only = !trial.fault_free_can_fail();
-        let mut failures = 0u64;
-        let mut executed = 0u64;
+        let mut tallies = vec![(0u64, 0u64); words.tallies()];
         let mut extras = WordExtras::default();
-        for Range { start, end } in words {
-            let mut word = start;
-            while word < end {
-                if (end - word) < W as u64 {
+        for Range { start, end } in slots {
+            let mut slot = start;
+            while slot < end {
+                if end - slot < W as u64 {
                     // Remainder words run at width 1 — bit-identical, since
                     // every word owns its RNG stream regardless of grouping.
-                    let (f, e, x) =
-                        self.run_word_range_wide::<T, 1>(trial, opts, std::iter::once(word..end));
-                    failures += f;
-                    executed += e;
+                    let once = std::iter::once(slot..end);
+                    let (rest, x) = self.run_words::<T, 1>(trial, opts, words, once);
+                    add_tallies(&mut tallies, &rest);
                     extras.merge(x);
                     break;
                 }
-                let mut rngs: [SmallRng; W] = std::array::from_fn(|k| {
-                    SmallRng::seed_from_u64(
-                        opts.seed ^ WORD_SEED_STRIDE.wrapping_mul(word + k as u64 + 1),
-                    )
-                });
-                for k in 0..W {
+                scratch.begin(self.n_ops(), W, true);
+                for (k, word_inputs) in inputs.iter_mut().enumerate() {
+                    let s = slot + k as u64;
+                    let seed = opts.seed ^ WORD_SEED_STRIDE.wrapping_mul(words.word(s) + 1);
+                    let mut rng = SmallRng::seed_from_u64(seed);
                     col.clear();
-                    trial.prepare_into(&mut col, &mut rngs[k], &mut inputs[k]);
+                    trial.prepare_into(&mut col, &mut rng, word_inputs);
                     wide.load_column(k, &col);
+                    match words {
+                        Words::Plain => self.plain_plan().place(dist, k, &mut rng, &mut scratch),
+                        Words::Stratified(round) => {
+                            let si = words.tally(s);
+                            round.plan.place(dist, si, k, &mut rng, &mut scratch);
+                        }
+                    }
+                    scratch.draw_planes(&self.table.arity, k, &mut rng);
                 }
-                scratch.sample::<W>(&self.table, &mut rngs);
                 let outcome = microop::execute::<W>(compiled, &mut wide, &mut scratch);
                 extras.fault_events += outcome.fault_events;
                 extras.fused_segments += outcome.fused_segments;
                 extras.replayed_segments += outcome.replayed_segments;
                 for (k, word_inputs) in inputs.iter().enumerate() {
-                    let valid = valid_lanes(opts.trials, word + k as u64);
+                    let s = slot + k as u64;
+                    let valid = valid_lanes(opts.trials, words.word(s));
                     extras.faulted_lanes += (outcome.faulted[k] & valid).count_ones() as u64;
                     let candidates = if judge_faulted_only {
                         outcome.faulted[k] & valid
                     } else {
                         valid
                     };
+                    let tally = &mut tallies[words.tally(s)];
                     if candidates != 0 {
                         wide.store_column(k, &mut col);
-                        failures += trial
+                        tally.0 += trial
                             .judge_masked(&col, word_inputs, candidates)
                             .count_ones() as u64;
                     }
-                    executed += valid.count_ones() as u64;
+                    tally.1 += valid.count_ones() as u64;
                 }
-                word += W as u64;
+                slot += W as u64;
             }
         }
-        (failures, executed, extras)
+        (tallies, extras)
     }
 
     /// The fault-count-stratified rare-event estimator (see the module
@@ -1451,8 +1547,10 @@ impl Engine {
                 base_word: next_word,
                 assignment: &assignment,
             };
+            let words = Words::Stratified(&layout);
+            let span = 0..assignment.len() as u64;
             let (tallies, round_extras) =
-                self.run_stratified_span(run.width, trial, opts, &layout, threads, obs);
+                self.run_span(run.width, trial, opts, words, span, threads, obs);
             extras.merge(round_extras);
             extras.masked_words += round;
             for (s, (f, n)) in strata.iter_mut().zip(&tallies) {
@@ -1485,157 +1583,6 @@ impl Engine {
         };
         flush_run(obs, &outcome, &extras);
         outcome
-    }
-
-    /// Runs one stratified round on the caller plus up to `threads − 1`
-    /// persistent helpers: `round.assignment[i]` names the stratum of
-    /// global word `round.base_word + i`, and participants claim chunks
-    /// of the assignment from one cursor, so the low-fault strata at its
-    /// head and the tail strata at its end spread over every thread.
-    /// Returns per-stratum `(failures, trials)`.
-    fn run_stratified_span<T: WordTrial + ?Sized>(
-        &self,
-        width: usize,
-        trial: &T,
-        opts: &McOptions,
-        round: &StratifiedRound<'_>,
-        threads: usize,
-        obs: &Collector,
-    ) -> (Vec<(u64, u64)>, WordExtras) {
-        let len = round.assignment.len() as u64;
-        helpers::run_chunked(threads, len, chunk_words(width), |claims| {
-            let _s = obs.span("engine.words");
-            let slots = claims.map(|r| r.start as usize..r.end as usize);
-            match width {
-                2 => self.run_stratified_range_wide::<T, 2>(trial, opts, round, slots),
-                4 => self.run_stratified_range_wide::<T, 4>(trial, opts, round, slots),
-                _ => self.run_stratified_range_wide::<T, 1>(trial, opts, round, slots),
-            }
-        })
-        .into_iter()
-        .fold(
-            (
-                vec![(0u64, 0u64); round.plan.strata.len()],
-                WordExtras::default(),
-            ),
-            |(mut acc, mut x), (part, px)| {
-                for (a, p) in acc.iter_mut().zip(&part) {
-                    a.0 += p.0;
-                    a.1 += p.1;
-                }
-                x.merge(px);
-                (acc, x)
-            },
-        )
-    }
-
-    /// Compiled stratified word loop: `W` conditioned logical words per
-    /// iteration through the fused micro-op program. Per word, the RNG
-    /// stream (prepare → conditional count/placement draws → fault
-    /// planes in op order) is drawn before the group executes and is the
-    /// same at every width.
-    fn run_stratified_range_wide<T: WordTrial + ?Sized, const W: usize>(
-        &self,
-        trial: &T,
-        opts: &McOptions,
-        round: &StratifiedRound<'_>,
-        slots: impl Iterator<Item = Range<usize>>,
-    ) -> (Vec<(u64, u64)>, WordExtras) {
-        let compiled = self.compiled();
-        let n_wires = self.circuit.n_wires();
-        let mut wide = BatchState::zeros(n_wires, W);
-        let mut col = BatchState::zeros(n_wires, 1);
-        let mut inputs: [Vec<u64>; W] = std::array::from_fn(|_| Vec::new());
-        let mut scratch = ExecScratch::default();
-        let mut place: Vec<usize> = Vec::new();
-        let mut tallies = vec![(0u64, 0u64); round.plan.strata.len()];
-        let mut extras = WordExtras::default();
-        for Range { start, end } in slots {
-            let mut i = start;
-            while i < end {
-                if end - i < W {
-                    // Remainder words at width 1 (bit-identical per word).
-                    let (rest, rest_extras) = self.run_stratified_range_wide::<T, 1>(
-                        trial,
-                        opts,
-                        round,
-                        std::iter::once(i..end),
-                    );
-                    for (t, r) in tallies.iter_mut().zip(&rest) {
-                        t.0 += r.0;
-                        t.1 += r.1;
-                    }
-                    extras.merge(rest_extras);
-                    break;
-                }
-                let mut rngs: [SmallRng; W] = std::array::from_fn(|k| {
-                    SmallRng::seed_from_u64(
-                        opts.seed
-                            ^ WORD_SEED_STRIDE.wrapping_mul(round.base_word + (i + k) as u64 + 1),
-                    )
-                });
-                scratch.begin(self.circuit.len(), W, true);
-                for (k, rng) in rngs.iter_mut().enumerate() {
-                    col.clear();
-                    trial.prepare_into(&mut col, rng, &mut inputs[k]);
-                    wide.load_column(k, &col);
-                    let si = round.assignment[i + k] as usize;
-                    self.schedule_stratified_word(round.plan, si, k, rng, &mut scratch, &mut place);
-                }
-                let outcome = microop::execute::<W>(compiled, &mut wide, &mut scratch);
-                extras.fault_events += outcome.fault_events;
-                extras.fused_segments += outcome.fused_segments;
-                extras.replayed_segments += outcome.replayed_segments;
-                for (k, word_inputs) in inputs.iter().enumerate() {
-                    let word = round.base_word + (i + k) as u64;
-                    let valid = valid_lanes(opts.trials, word);
-                    extras.faulted_lanes += (outcome.faulted[k] & valid).count_ones() as u64;
-                    let candidates = if trial.fault_free_can_fail() {
-                        valid
-                    } else {
-                        outcome.faulted[k] & valid
-                    };
-                    let si = round.assignment[i + k] as usize;
-                    if candidates != 0 {
-                        wide.store_column(k, &mut col);
-                        tallies[si].0 += trial
-                            .judge_masked(&col, word_inputs, candidates)
-                            .count_ones() as u64;
-                    }
-                    tallies[si].1 += valid.count_ones() as u64;
-                }
-                i += W;
-            }
-        }
-        (tallies, extras)
-    }
-
-    /// Phase 1 of stratified word `w`: each lane's conditional fault
-    /// count and placement, lane by lane, straight into the fault table,
-    /// then the word's random planes in op order.
-    fn schedule_stratified_word(
-        &self,
-        plan: &StrataPlan,
-        si: usize,
-        w: usize,
-        rng: &mut SmallRng,
-        scratch: &mut ExecScratch,
-        place: &mut Vec<usize>,
-    ) {
-        let dist = self.fault_dist();
-        let (mut events, mut faulted) = (0u64, 0u64);
-        for lane in 0..64u32 {
-            let count = plan.fault_count(si, rng);
-            let before = events;
-            dist.sample_exact(count, rng, place, |op| {
-                let placed = scratch.place(op, w, lane);
-                events += u64::from(placed);
-                placed
-            });
-            faulted |= u64::from(events != before) << lane;
-        }
-        scratch.tally(w, events, faulted);
-        scratch.draw_planes(&self.table.arity, w, rng);
     }
 
     /// The memoized stratified-estimator layout for
@@ -1671,30 +1618,13 @@ impl Engine {
             .collect();
         let sample_weight: f64 = strata.iter().map(|s| s.weight).sum();
         let all_elided = strata.iter().all(|s| s.weight <= 0.0);
-        // Conditional CDF of the tail stratum's fault count (top bin
-        // absorbs the truncated mass).
-        let tail_lo = min + cap - 1;
-        let tail_cdf: Vec<f64> = {
-            let mut acc = 0.0;
-            let mut cdf: Vec<f64> = (tail_lo..=dist.max_k().max(tail_lo))
-                .map(|k| {
-                    acc += dist.pmf_at(k);
-                    acc
-                })
-                .collect();
-            if let Some(last) = cdf.last_mut() {
-                *last += dist.tail_beyond;
-            }
-            cdf
-        };
         let plan = Arc::new(StrataPlan {
             min_faults,
             strata_cap,
             strata,
             sample_weight,
             all_elided,
-            tail_cdf,
-            tail_lo,
+            tail: CountCdf::at_least(dist, min + cap - 1),
         });
         plans.push(Arc::clone(&plan));
         plan
@@ -1712,25 +1642,36 @@ struct StrataPlan {
     sample_weight: f64,
     /// Every stratum weight is zero — the run resolves analytically.
     all_elided: bool,
-    /// Conditional CDF of the tail stratum's fault count.
-    tail_cdf: Vec<f64>,
-    /// Smallest fault count in the tail stratum.
-    tail_lo: usize,
+    /// The tail stratum's fault count.
+    tail: CountCdf,
 }
 
 impl StrataPlan {
-    /// Draws one lane's fault count in stratum `si`: fixed for an
-    /// explicit stratum, off the conditional CDF in the tail.
-    fn fault_count(&self, si: usize, rng: &mut SmallRng) -> usize {
-        match self.strata[si].k_hi {
+    /// Phase 1's placement for word `w` of stratum `si`: every lane
+    /// holds the stratum's fault count — fixed for an explicit stratum,
+    /// off the conditional CDF in the tail (see
+    /// [`FaultCountDist::place_lanes`]).
+    fn place(
+        &self,
+        dist: &FaultCountDist,
+        si: usize,
+        w: usize,
+        rng: &mut SmallRng,
+        scratch: &mut ExecScratch,
+    ) {
+        let count = |rng: &mut SmallRng| match self.strata[si].k_hi {
             Some(k) => k as usize,
-            None => {
-                let total = self.tail_cdf.last().copied().unwrap_or(0.0);
-                let u = rng.random::<f64>() * total;
-                let pos = self.tail_cdf.partition_point(|&c| c <= u);
-                self.tail_lo + pos.min(self.tail_cdf.len() - 1)
-            }
-        }
+            None => self.tail.sample(rng),
+        };
+        dist.place_lanes(u64::MAX, count, w, rng, scratch);
+    }
+
+    /// Approximate heap footprint (see [`Engine::approx_bytes`]).
+    fn approx_bytes(&self) -> usize {
+        use std::mem::size_of;
+        size_of::<StrataPlan>()
+            + self.strata.len() * size_of::<StratumOutcome>()
+            + self.tail.cdf.len() * size_of::<f64>()
     }
 }
 
@@ -1740,6 +1681,41 @@ struct StratifiedRound<'a> {
     plan: &'a StrataPlan,
     base_word: u64,
     assignment: &'a [u32],
+}
+
+/// What tells the two estimators' word loops apart: which global word a
+/// loop slot is, how its lanes' faults are drawn, and which tally it
+/// feeds.
+#[derive(Clone, Copy)]
+enum Words<'a> {
+    /// Slot `i` is global word `i`, with the plain schedule; one tally.
+    Plain,
+    /// Slot `i` is word `i` of the round, in stratum `assignment[i]`;
+    /// one tally per stratum.
+    Stratified(&'a StratifiedRound<'a>),
+}
+
+impl Words<'_> {
+    fn word(self, slot: u64) -> u64 {
+        match self {
+            Words::Plain => slot,
+            Words::Stratified(round) => round.base_word + slot,
+        }
+    }
+
+    fn tally(self, slot: u64) -> usize {
+        match self {
+            Words::Plain => 0,
+            Words::Stratified(round) => round.assignment[slot as usize] as usize,
+        }
+    }
+
+    fn tallies(self) -> usize {
+        match self {
+            Words::Plain => 1,
+            Words::Stratified(round) => round.plan.strata.len(),
+        }
+    }
 }
 
 /// Plain-integer tallies gathered inside the word loops and flushed to
@@ -1767,6 +1743,14 @@ impl WordExtras {
         self.fused_segments += o.fused_segments;
         self.replayed_segments += o.replayed_segments;
         self.masked_words += o.masked_words;
+    }
+}
+
+/// Adds per-tally `(failures, trials)` counts of `part` into `acc`.
+fn add_tallies(acc: &mut [(u64, u64)], part: &[(u64, u64)]) {
+    for (a, p) in acc.iter_mut().zip(part) {
+        a.0 += p.0;
+        a.1 += p.1;
     }
 }
 
@@ -3062,48 +3046,177 @@ mod tests {
 
     #[test]
     fn mask_sampler_is_binomial() {
-        // Lane-occupancy check: each of the 64 lanes faults with the same
-        // marginal probability.
-        let sampler = MaskSampler::new(0.2);
-        let mut rng = SmallRng::seed_from_u64(9);
-        let draws = 20_000usize;
-        let mut per_lane = [0u32; 64];
-        for _ in 0..draws {
-            let (mask, faults) = sampler.sample(&mut rng);
-            assert_eq!(mask.count_ones(), faults);
-            for (lane, count) in per_lane.iter_mut().enumerate() {
-                *count += ((mask >> lane) & 1) as u32;
+        // Lane-occupancy check: each of the 64 lanes is drawn with the
+        // same marginal probability, on both sides of 1/2 (above it the
+        // sampler draws the complement) and next to 1, where
+        // `(1 − p)^64` underflows.
+        for p in [0.2, 0.9, 1.0 - 1e-7] {
+            let sampler = MaskSampler::new(p);
+            let mut rng = SmallRng::seed_from_u64(9);
+            let draws = 20_000usize;
+            let mut per_lane = [0u32; 64];
+            for _ in 0..draws {
+                let mask = sampler.sample(&mut rng);
+                for (lane, count) in per_lane.iter_mut().enumerate() {
+                    *count += ((mask >> lane) & 1) as u32;
+                }
+            }
+            let expected = p * draws as f64;
+            let sd = (draws as f64 * p * (1.0 - p)).sqrt().max(1.0);
+            for (lane, &count) in per_lane.iter().enumerate() {
+                assert!(
+                    ((count as f64) - expected).abs() < 6.0 * sd,
+                    "p {p} lane {lane}: {count} vs {expected} ± {sd}"
+                );
             }
         }
-        let expected = 0.2 * draws as f64;
-        let sd = (draws as f64 * 0.2 * 0.8).sqrt();
-        for (lane, &count) in per_lane.iter().enumerate() {
+    }
+
+    /// Upper `1e-6` quantile of χ² with `df` degrees of freedom
+    /// (Wilson–Hilferty).
+    fn chi2_crit(df: usize) -> f64 {
+        let d = df as f64;
+        let z = 4.75;
+        d * (1.0 - 2.0 / (9.0 * d) + z * (2.0 / (9.0 * d)).sqrt()).powi(3)
+    }
+
+    /// Pearson χ² of `observed` counts against `expected`, adjacent bins
+    /// pooled until each expects ≥ 5. Returns the statistic and its
+    /// degrees of freedom.
+    fn chi2(observed: &[u64], expected: &[f64]) -> (f64, usize) {
+        let mut bins: Vec<(f64, f64)> = Vec::new();
+        let mut open = (0.0, 0.0);
+        for (&o, &e) in observed.iter().zip(expected) {
+            open = (open.0 + o as f64, open.1 + e);
+            if open.1 >= 5.0 {
+                bins.push(open);
+                open = (0.0, 0.0);
+            }
+        }
+        if let Some(last) = bins.last_mut() {
+            *last = (last.0 + open.0, last.1 + open.1);
+        }
+        let stat = bins.iter().map(|&(o, e)| (o - e) * (o - e) / e).sum();
+        (stat, bins.len().saturating_sub(1))
+    }
+
+    #[test]
+    fn plain_schedule_follows_the_per_op_bernoulli_law() {
+        // The lane-major plain schedule must be the per-op Bernoulli law:
+        // per-op marginals at pᵢ, per-lane fault counts distributed as the
+        // fault-count PMF, and lanes independent of each other — on one
+        // rate group and on two.
+        let c = recovery_like_circuit();
+        let words = 20_000u64;
+        for (name, engine) in [
+            ("uniform", Engine::compile(&c, &UniformNoise::new(0.05))),
+            ("split", Engine::compile(&c, &SplitNoise::new(0.06, 0.02))),
+        ] {
+            let n_ops = c.len();
+            let mut per_op = vec![0u64; n_ops];
+            let mut counts = vec![0u64; n_ops + 1];
+            let mut per_word = vec![0u64; 65];
+            let mut pairs = vec![0u64; 64 * 64];
+            let mut scratch = ExecScratch::default();
+            for word in 0..words {
+                let mut rng = SmallRng::seed_from_u64(word.wrapping_mul(WORD_SEED_STRIDE));
+                scratch.begin(n_ops, 1, true);
+                engine
+                    .plain_plan()
+                    .place(engine.fault_dist(), 0, &mut rng, &mut scratch);
+                let masks = scratch.masks();
+                let mut k = [0usize; 64];
+                for (i, &m) in masks.iter().enumerate() {
+                    per_op[i] += u64::from(m.count_ones());
+                    for (lane, kl) in k.iter_mut().enumerate() {
+                        *kl += ((m >> lane) & 1) as usize;
+                    }
+                }
+                let mut faulted = 0u64;
+                for (lane, &kl) in k.iter().enumerate() {
+                    counts[kl] += 1;
+                    faulted |= u64::from(kl > 0) << lane;
+                }
+                let events = masks.iter().map(|m| u64::from(m.count_ones())).sum();
+                assert_eq!(scratch.fault_events, events, "{name}: fault events");
+                per_word[faulted.count_ones() as usize] += 1;
+                let mut a_bits = faulted;
+                while a_bits != 0 {
+                    let a = a_bits.trailing_zeros() as usize;
+                    a_bits &= a_bits - 1;
+                    let mut b_bits = faulted;
+                    while b_bits != 0 {
+                        let b = b_bits.trailing_zeros() as usize;
+                        b_bits &= b_bits - 1;
+                        pairs[a * 64 + b] += 1;
+                    }
+                }
+            }
+            let lanes = (words * 64) as f64;
+            for (i, &n) in per_op.iter().enumerate() {
+                let p = engine.fault_probability(i);
+                let sd = (lanes * p * (1.0 - p)).sqrt();
+                assert!(
+                    (n as f64 - lanes * p).abs() <= 5.0 * sd,
+                    "{name}: op {i} faulted {n} times vs {} ± {sd}",
+                    lanes * p
+                );
+            }
+            let pmf = engine.fault_count_pmf();
+            let expected: Vec<f64> = (0..=n_ops)
+                .map(|k| lanes * pmf.get(k).copied().unwrap_or(0.0))
+                .collect();
+            let (stat, df) = chi2(&counts, &expected);
             assert!(
-                ((count as f64) - expected).abs() < 6.0 * sd,
-                "lane {lane}: {count} vs {expected} ± {sd}"
+                stat < chi2_crit(df),
+                "{name}: K histogram χ² {stat} (df {df})"
             );
+            // Lanes are independent: the faulted-lane count per word is
+            // Binomial(64, P(K ≥ 1)), and every pair of lanes is faulted
+            // together at P(K ≥ 1)².
+            let q = 1.0 - pmf[0];
+            let binom = binomial_pmf(64, q);
+            let expected: Vec<f64> = (0..=64)
+                .map(|j| words as f64 * binom.get(j).copied().unwrap_or(0.0))
+                .collect();
+            let (stat, df) = chi2(&per_word, &expected);
+            assert!(
+                stat < chi2_crit(df),
+                "{name}: lanes per word χ² {stat} (df {df})"
+            );
+            let (n, sd) = (
+                words as f64 * q * q,
+                (words as f64 * q * q * (1.0 - q * q)).sqrt(),
+            );
+            for a in 0..64 {
+                for b in a + 1..64 {
+                    let both = pairs[a * 64 + b] as f64;
+                    assert!(
+                        (both - n).abs() <= 5.5 * sd,
+                        "{name}: lanes {a}, {b} faulted together {both} times vs {n} ± {sd}"
+                    );
+                }
+            }
         }
     }
 
     #[test]
-    fn fault_rate_matches_noise_model() {
-        // Mean fault count over many words ≈ ops × lanes × g, within 5σ.
-        let c = recovery_like_circuit();
-        let g = 0.03;
-        let engine = Engine::compile(&c, &UniformNoise::new(g));
-        let mut rng = SmallRng::seed_from_u64(42);
-        let words = 200usize;
-        let mut events = 0u64;
-        for _ in 0..words {
-            let mut batch = BatchState::zeros(9, 1);
-            events += engine.run_batch(&mut batch, &mut rng).fault_events;
-        }
-        let n = (c.len() * 64 * words) as f64;
-        let expected = g * n;
-        let sd = (n * g * (1.0 - g)).sqrt();
+    fn approx_bytes_charges_the_schedule_plans() {
+        let engine = Engine::compile(&recovery_like_circuit(), &UniformNoise::new(0.05));
+        let trial = Wire0Trial { n_wires: 9 };
+        let opts = McOptions::new(256).seed(1);
+        // Build the distribution and the program first, so only the plans
+        // are left to grow the size.
+        let _ = (engine.fault_count_pmf(), engine.compile_stats());
+        let base = engine.approx_bytes();
+        let _ = engine.estimate(&trial, &opts.estimator(Estimator::Plain));
+        let plain = engine.approx_bytes();
+        assert!(plain > base, "plain plan not charged: {base} → {plain}");
+        let _ = engine.estimate(&trial, &opts.stratified(0, 4));
+        let stratified = engine.approx_bytes();
         assert!(
-            ((events as f64) - expected).abs() < 5.0 * sd,
-            "events {events} vs expected {expected} ± {sd}"
+            stratified > plain,
+            "strata plan not charged: {plain} → {stratified}"
         );
     }
 

@@ -34,12 +34,15 @@
 //! 1. **Fill** (`ExecScratch`): a flat fault table holds, per
 //!    `(op, word)`, the fault mask and the random planes a fault
 //!    consumes. All of a word's randomness is drawn here, from its own
-//!    RNG, in the raw loops' order: the sampled filler draws per op the
-//!    binomial mask and then, for a faulted op, the planes; the
-//!    stratified filler places each lane's conditional faults and then
-//!    draws the planes of the word's faulted ops in op order; an
-//!    external schedule is copied in and its planes drawn the same way.
-//!    So the table — and every estimate — is the same at any width.
+//!    RNG, lane-major: one routine places each chosen lane's faults
+//!    (its count, then the exact conditional placement) straight into
+//!    the table, and the word then draws the planes of its faulted ops
+//!    in op order. A plain word chooses the lanes with any fault (one
+//!    64-lane draw at `P(K ≥ 1)`) and draws each a count `K | K ≥ 1`; a
+//!    stratified word takes every lane and its stratum's count. So the
+//!    cost is O(64 + faults) per word, not O(ops). An external schedule
+//!    is copied in and its planes drawn the same way. The table — and
+//!    every estimate — is the same at any width.
 //! 2. **Execute** (`execute`): the program runs against the table and
 //!    draws nothing. A native op runs its wide kernel, then a blend that
 //!    is branch-free across the `W` words (lanes under the mask take the
@@ -98,12 +101,11 @@
 
 use crate::batch::{kernels, BatchExecReport, BatchState};
 use crate::circuit::Circuit;
-use crate::engine::{fill_fault_planes, FaultTable, NEVER};
+use crate::engine::{fill_fault_planes, FaultTable};
 use crate::gate::Gate;
 use crate::op::Op;
 use crate::wire::{Support, Wire};
 use rand::rngs::SmallRng;
-use rand::Rng;
 
 /// Largest wire count a single affine segment may touch (row, gather and
 /// scatter masks are single `u64` bit sets over the segment's wires).
@@ -832,12 +834,14 @@ pub(crate) struct ExecScratch {
     inp: Vec<u64>,
     /// Projected boundary planes (flat, same layout).
     boundary: Vec<u64>,
+    /// Rejection-sampling buffer of the lane-major placement.
+    pub(crate) picks: Vec<usize>,
 }
 
 impl ExecScratch {
     /// Sizes the table for `n_ops` ops of `width` words and clears it —
-    /// the masks only if `zero_masks` (a filler that writes every slot
-    /// passes `false`).
+    /// the masks only if `zero_masks` (a copied-in schedule that writes
+    /// every slot passes `false`).
     pub(crate) fn begin(&mut self, n_ops: usize, width: usize, zero_masks: bool) {
         self.width = width;
         self.stride = n_ops.div_ceil(64);
@@ -854,39 +858,9 @@ impl ExecScratch {
         self.fault_events = 0;
     }
 
-    /// Phase 1 of a sampled group, exactly the raw loop's draw order per
-    /// word: per fallible op in op order one mask draw from the word's
-    /// RNG, then one full plane per support wire when the mask is
-    /// nonzero. Each RNG sees only its own word's draws, so the stream is
-    /// the same at every width. Every mask slot is written (zero where
-    /// no fault lands), so the masks are not cleared first.
-    pub(crate) fn sample<const W: usize>(&mut self, table: &FaultTable, rngs: &mut [SmallRng; W]) {
-        self.begin(table.n_ops(), W, false);
-        for (w, word_rng) in rngs.iter_mut().enumerate() {
-            // A local generator stays in registers across the op loop.
-            let (mut rng, mut events, mut faulted) = (word_rng.clone(), 0, 0);
-            let rows = self.masks.chunks_exact_mut(W);
-            let sites = table.sampler_of.iter().zip(&table.arity);
-            let slots = sites.zip(rows.zip(self.planes.chunks_exact_mut(4 * W)));
-            for (i, ((&s, &arity), (mask_row, plane_row))) in slots.enumerate() {
-                let (mask, faults) = match s {
-                    NEVER => (0, 0),
-                    s => table.samplers[s].sample(&mut rng),
-                };
-                mask_row[w] = mask;
-                if mask == 0 {
-                    continue;
-                }
-                self.faulted_ops[i / 64] |= 1u64 << (i % 64);
-                for k in 0..arity as usize {
-                    plane_row[k * W + w] = rng.random::<u64>();
-                }
-                events += u64::from(faults);
-                faulted |= mask;
-            }
-            *word_rng = rng;
-            self.tally(w, events, faulted);
-        }
+    /// The fault masks, `masks[i * W + w]`.
+    pub(crate) fn masks(&self) -> &[u64] {
+        &self.masks
     }
 
     /// Schedules a fault of op `i` in `lane` of word `w`; `false` (and
@@ -937,6 +911,7 @@ impl ExecScratch {
 
     /// Draws word `w`'s random planes for its scheduled faults, in op
     /// order, via the shared sparse [`fill_fault_planes`] schedule.
+    #[inline]
     pub(crate) fn draw_planes(&mut self, arity: &[u8], w: usize, rng: &mut SmallRng) {
         for chunk in 0..self.stride {
             let mut bits = self.touched[w * self.stride + chunk];
