@@ -586,8 +586,13 @@ impl CountCdf {
     fn sample(&self, rng: &mut SmallRng) -> usize {
         let total = self.cdf.last().copied().unwrap_or(0.0);
         let u = rng.random::<f64>() * total;
-        let pos = self.cdf.partition_point(|&c| c <= u);
-        self.lo + pos.min(self.cdf.len() - 1)
+        // A linear scan: counts sit near the low end, so it exits in a
+        // few predictable steps (same answer as a binary search).
+        let mut pos = 0;
+        while pos + 1 < self.cdf.len() && self.cdf[pos] <= u {
+            pos += 1;
+        }
+        self.lo + pos
     }
 }
 
@@ -863,7 +868,8 @@ impl Engine {
             bytes += dist.approx_bytes();
         }
         if let Some(plan) = self.plain.get() {
-            bytes += size_of::<PlainPlan>() + (65 + plan.counts.cdf.len()) * size_of::<f64>();
+            let cdfs = plan.lanes.cdf.len() + plan.counts.cdf.len();
+            bytes += size_of::<PlainPlan>() + cdfs * size_of::<f64>();
         }
         if let Ok(plans) = self.plans.lock() {
             bytes += plans.iter().map(|p| p.approx_bytes()).sum::<usize>();
