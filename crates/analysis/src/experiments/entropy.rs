@@ -11,6 +11,7 @@ use rft_core::concat::FtBuilder;
 use rft_core::entropy::{
     h1_upper, hl_lower, hl_upper, kappa, landauer_heat_joules, max_level_constant_entropy,
 };
+use rft_obs::Metric;
 use rft_revsim::gate::Gate;
 use rft_revsim::noise::UniformNoise;
 use rft_revsim::state::BitState;
@@ -128,6 +129,7 @@ pub fn run_ctx(ctx: &mut ExperimentContext) -> EntropyResult {
     let grid: Vec<(usize, usize)> = (0..levels.len())
         .flat_map(|li| (0..rates.len()).map(move |ri| (li, ri)))
         .collect();
+    let obs = ctx.obs();
     let points = ctx.run_parallel(grid.len(), |i, share| {
         let (li, ri) = grid[i];
         let p = &programs[li];
@@ -140,10 +142,12 @@ pub fn run_ctx(ctx: &mut ExperimentContext) -> EntropyResult {
         .max(200);
         let seed = share.seed ^ g.to_bits() ^ level as u64;
         let noise = UniformNoise::new(g);
-        let m_short =
-            measure_reset_entropy(p.short.circuit(), &p.input_short, &noise, trials, seed);
-        let m_long =
-            measure_reset_entropy(p.long.circuit(), &p.input_long, &noise, trials, seed ^ 1);
+        let measure = |circuit, input, seed| {
+            let _span = obs.span_metric("entropy.measure", Metric::EstimateNanos);
+            measure_reset_entropy(circuit, input, &noise, trials, seed)
+        };
+        let m_short = measure(p.short.circuit(), &p.input_short, seed);
+        let m_long = measure(p.long.circuit(), &p.input_long, seed ^ 1);
         let measured_bits = ((m_long.bits_per_run - m_short.bits_per_run) / 2.0).max(0.0);
         // G̃: physical ops per next-level gate — 27 for the level-1
         // cycle; the same multiplier is applied per level in the bound.
@@ -260,30 +264,6 @@ impl EntropyResult {
     }
 }
 
-/// Measures the steady-state entropy of the *bare recovery* on one
-/// codeword — the second of two consecutive recovery cycles, whose inits
-/// erase the first cycle's syndromes. Used by tests to pin the L = 1
-/// scaling cheaply.
-pub fn recovery_entropy(g: f64, trials: u64, seed: u64) -> f64 {
-    let one = {
-        let mut b = FtBuilder::new(1, 1);
-        b.recover(0);
-        b.finish()
-    };
-    let two = {
-        let mut b = FtBuilder::new(1, 1);
-        b.recover(0).recover(0);
-        b.finish()
-    };
-    let noise = UniformNoise::new(g);
-    let zero = BitState::zeros(1);
-    let h1 =
-        measure_reset_entropy(one.circuit(), &one.encode(&zero), &noise, trials, seed).bits_per_run;
-    let h2 = measure_reset_entropy(two.circuit(), &two.encode(&zero), &noise, trials, seed ^ 1)
-        .bits_per_run;
-    (h2 - h1).max(0.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -324,13 +304,6 @@ mod tests {
         let g_max_1 = l1.iter().max_by(|a, b| a.g.total_cmp(&b.g)).unwrap();
         let g_max_2 = l2.iter().max_by(|a, b| a.g.total_cmp(&b.g)).unwrap();
         assert!(g_max_2.measured_bits > g_max_1.measured_bits);
-    }
-
-    #[test]
-    fn recovery_entropy_scales_with_g() {
-        let lo = recovery_entropy(1e-3, 20_000, 41);
-        let hi = recovery_entropy(1e-1, 20_000, 41);
-        assert!(hi > lo * 10.0, "lo {lo}, hi {hi}");
     }
 
     #[test]

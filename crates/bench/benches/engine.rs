@@ -7,11 +7,14 @@
 //! and level-2 concatenated programs). `engine_estimate` measures a full
 //! facade round trip (compile + auto-routed batch estimation + adaptive
 //! variant) so regressions in dispatch or the word runner show up next to
-//! the raw numbers in BENCH_batch.json.
+//! the raw numbers in BENCH_batch.json. `entropy` times the §4
+//! reset-entropy measurement and the NAND-optimality search.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rft_analysis::prelude::*;
+use rft_core::entropy::optimal_nand_dissipation;
 use rft_core::ftcheck::transversal_cycle;
+use rft_core::prelude::*;
 use rft_revsim::prelude::*;
 use std::hint::black_box;
 
@@ -110,10 +113,35 @@ fn obs_overhead(c: &mut Criterion) {
     group.finish();
 }
 
+/// §4: the reset-entropy measurement (compile of the copy-out circuit
+/// plus 16 words on the compiled word loop) and the exhaustive
+/// NAND-optimality search.
+fn entropy(c: &mut Criterion) {
+    let mut group = c.benchmark_group("entropy");
+    group.sample_size(10);
+    group.bench_function("nand_exhaustive_search", |b| {
+        b.iter(|| black_box(optimal_nand_dissipation().0));
+    });
+    let mut builder = FtBuilder::new(1, 3);
+    builder.apply(&toffoli()).apply(&toffoli());
+    let program = builder.finish();
+    let input = program.encode(&BitState::zeros(3));
+    let noise = UniformNoise::new(1e-2);
+    group.bench_function("reset_entropy_1k_trials", |b| {
+        b.iter(|| {
+            black_box(
+                measure_reset_entropy(program.circuit(), &input, &noise, 1000, 7).bits_per_run,
+            )
+        });
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     engine_compile_overhead,
     engine_estimate_roundtrip,
-    obs_overhead
+    obs_overhead,
+    entropy
 );
 criterion_main!(benches);

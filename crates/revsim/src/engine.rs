@@ -133,7 +133,7 @@
 
 use crate::batch::{kernels, BatchExecReport, BatchState};
 use crate::circuit::Circuit;
-use crate::exec::{ExecObserver, ExecReport, NullObserver};
+use crate::exec::ExecReport;
 use crate::helpers;
 use crate::microop::{self, CompileStats, CompiledOps, ExecScratch};
 use crate::noise::NoiseModel;
@@ -182,8 +182,10 @@ const MIN_FAILURES_FOR_STOP: u64 = 16;
 /// alone.
 const ADAPTIVE_ROUND_WORDS: u64 = 32;
 
-/// Per-word seed stride (golden-ratio odd constant, as in SplitMix64).
-const WORD_SEED_STRIDE: u64 = 0x9E37_79B9_7F4A_7C15;
+/// Per-word seed stride (golden-ratio odd constant, as in SplitMix64):
+/// word `i` of a run seeded `s` draws from
+/// `SmallRng::seed_from_u64(s ^ WORD_SEED_STRIDE.wrapping_mul(i + 1))`.
+pub const WORD_SEED_STRIDE: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// Marker for operations that never fault.
 pub(crate) const NEVER: usize = usize::MAX;
@@ -936,35 +938,16 @@ impl Engine {
         self.fault_dist().pmf()
     }
 
-    /// `P(K ≥ k)` under the compiled fault-count distribution.
-    pub fn fault_count_at_least(&self, k: u32) -> f64 {
-        self.fault_dist().mass_at_least(k as usize)
-    }
-
     /// Runs one noisy scalar trial on `state` (classic per-trial
     /// semantics: one uniform draw per fallible operation; a faulting
-    /// operation randomizes its support instead of executing).
+    /// operation randomizes its support instead of executing). The
+    /// per-trial reference the word loops are checked against in tests,
+    /// examples and benches; no estimate runs on it.
     ///
     /// # Panics
     ///
     /// Panics if the state width does not match the circuit width.
     pub fn run_scalar<R: Rng + ?Sized>(&self, state: &mut BitState, rng: &mut R) -> ExecReport {
-        let mut observer = NullObserver;
-        self.run_scalar_observed(state, rng, &mut observer)
-    }
-
-    /// [`Engine::run_scalar`] with [`ExecObserver`] hooks (used by the
-    /// entropy measurements of §4).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the state width does not match the circuit width.
-    pub fn run_scalar_observed<R: Rng + ?Sized>(
-        &self,
-        state: &mut BitState,
-        rng: &mut R,
-        observer: &mut dyn ExecObserver,
-    ) -> ExecReport {
         assert_eq!(
             state.len(),
             self.circuit.n_wires(),
@@ -972,17 +955,10 @@ impl Engine {
         );
         let mut report = ExecReport::default();
         for (i, op) in self.circuit.ops().iter().enumerate() {
-            if let Op::Init(init) = op {
-                let values = state.read_pattern(init.wires());
-                observer.before_init(i, init.wires(), values);
-            }
             let p = self.table.probs[i];
-            let faulted = p > 0.0 && rng.random::<f64>() < p;
-            if faulted {
-                let support = op.support();
-                state.randomize(support.as_slice(), rng);
+            if p > 0.0 && rng.random::<f64>() < p {
+                state.randomize(op.support().as_slice(), rng);
                 report.faults.push(i);
-                observer.on_fault(i);
             } else {
                 op.apply(state);
             }
@@ -1016,8 +992,11 @@ impl Engine {
     /// then its random planes are drawn first, and the program then runs
     /// against that table. Lanes are bit-identical to `W` independent
     /// [`Engine::run_batch`] runs on single-word batches at the same
-    /// seeds. This is the word loop behind [`Engine::estimate`]; it is
-    /// public so benches can compare it against the raw path.
+    /// seeds, and the schedule is the one [`Engine::estimate`]'s plain
+    /// words draw. Its production caller is the §4 reset-entropy
+    /// measurement (`rft_analysis::entropy_meas`), which reads the
+    /// finished planes of copy-out wires; benches compare it against the
+    /// raw path.
     ///
     /// # Panics
     ///
@@ -2787,7 +2766,8 @@ mod tests {
             );
         }
         assert!((engine.fault_free_probability() - expect[0]).abs() < 1e-15);
-        assert!((engine.fault_count_at_least(1) - (1.0 - expect[0])).abs() < 1e-12);
+        let at_least_one: f64 = pmf[1..].iter().sum();
+        assert!((at_least_one - (1.0 - expect[0])).abs() < 1e-12);
     }
 
     #[test]

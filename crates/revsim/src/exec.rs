@@ -1,5 +1,5 @@
-//! Scalar circuit executors: ideal runs and the observer hooks shared
-//! with [`crate::engine`].
+//! Scalar circuit executors: the ideal run and the per-trial noisy
+//! run's report.
 //!
 //! Fault semantics follow the paper exactly: a failing operation does not
 //! execute; instead every bit in its support is replaced by an independent
@@ -7,18 +7,17 @@
 //! outputs", §4). A failing initialization likewise leaves random bits
 //! instead of zeros.
 //!
-//! Noisy execution lives on the [`Engine`] facade ([`Engine::run_scalar`],
-//! [`Engine::run_scalar_observed`]): compile once and reuse across runs
-//! instead of re-deriving fault probabilities per call. Planned-fault
-//! execution is [`FaultPlan::run`](crate::fault::FaultPlan::run).
+//! Noisy execution lives on the [`Engine`] facade: every estimate and the
+//! §4 reset-entropy measurement run on its compiled word loop, and
+//! [`Engine::run_scalar`] is the one-trial-at-a-time reference that tests,
+//! examples and benches compare it with. Planned-fault execution is
+//! [`FaultPlan::run`](crate::fault::FaultPlan::run).
 //!
 //! [`Engine`]: crate::engine::Engine
 //! [`Engine::run_scalar`]: crate::engine::Engine::run_scalar
-//! [`Engine::run_scalar_observed`]: crate::engine::Engine::run_scalar_observed
 
 use crate::circuit::Circuit;
 use crate::state::BitState;
-use crate::wire::Wire;
 
 /// What happened during one noisy run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -33,30 +32,6 @@ impl ExecReport {
         self.faults.len()
     }
 }
-
-/// Observer hooks for instrumented execution.
-///
-/// The entropy measurements of §4 are implemented as an observer that
-/// inspects ancilla values at the moment they are reset — the precise point
-/// where the scheme ejects entropy.
-pub trait ExecObserver {
-    /// Called before an `Init` executes, with the values currently on its
-    /// wires packed as a pattern (bit `j` → wire `j` of the init's support).
-    fn before_init(&mut self, op_index: usize, wires: &[Wire], values: u8) {
-        let _ = (op_index, wires, values);
-    }
-
-    /// Called when an operation faults.
-    fn on_fault(&mut self, op_index: usize) {
-        let _ = op_index;
-    }
-}
-
-/// An observer that does nothing.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullObserver;
-
-impl ExecObserver for NullObserver {}
 
 /// Runs `circuit` on `state` without noise.
 ///
@@ -103,25 +78,6 @@ mod tests {
         let b = engine.run_scalar(&mut s_b, &mut rng_b);
         assert_eq!(a, b);
         assert_eq!(s_a, s_b);
-    }
-
-    #[test]
-    fn observer_sees_pre_init_values() {
-        struct Recorder(Vec<(usize, u8)>);
-        impl ExecObserver for Recorder {
-            fn before_init(&mut self, op_index: usize, _wires: &[Wire], values: u8) {
-                self.0.push((op_index, values));
-            }
-        }
-        let mut c = Circuit::new(3);
-        c.not(w(0)).not(w(2)).init(&[w(0), w(1), w(2)]);
-        let mut s = BitState::zeros(3);
-        let mut rng = SmallRng::seed_from_u64(3);
-        let mut rec = Recorder(Vec::new());
-        Engine::compile(&c, &NoNoise).run_scalar_observed(&mut s, &mut rng, &mut rec);
-        // Before the init, wires held (1,0,1) -> pattern 0b101.
-        assert_eq!(rec.0, vec![(2, 0b101)]);
-        assert_eq!(s.count_ones(), 0);
     }
 
     #[test]

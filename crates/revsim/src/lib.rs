@@ -88,7 +88,7 @@ pub mod prelude {
         BackendKind, Engine, Estimator, McOptions, McOutcome, StratumOutcome, WordTrial, WordWidth,
         DEFAULT_BATCH_THRESHOLD, DEFAULT_STRATA_CAP, STRATIFIED_ROUTING_THRESHOLD,
     };
-    pub use crate::exec::{run_ideal, ExecObserver, ExecReport};
+    pub use crate::exec::{run_ideal, ExecReport};
     pub use crate::fault::{double_fault_plans, single_fault_plans, FaultPlan, PlannedFault};
     pub use crate::gate::{Gate, OpKind};
     pub use crate::microop::CompileStats;

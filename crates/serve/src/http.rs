@@ -348,20 +348,6 @@ pub fn write_response_opts<W: Write>(
     w.flush()
 }
 
-/// Writes a complete fixed-length `Connection: close` response.
-///
-/// # Errors
-///
-/// Propagates transport errors.
-pub fn write_response<W: Write>(
-    w: &mut W,
-    status: u16,
-    content_type: &str,
-    body: &[u8],
-) -> io::Result<()> {
-    write_response_opts(w, status, content_type, body, ResponseOpts::default())
-}
-
 /// Writes a JSON error body `{"error": reason}` with `status` and
 /// explicit header options.
 ///
