@@ -142,9 +142,14 @@ pub fn run_ctx(ctx: &mut ExperimentContext) -> EntropyResult {
         .max(200);
         let seed = share.seed ^ g.to_bits() ^ level as u64;
         let noise = UniformNoise::new(g);
+        // Each measurement compiles a copy-out engine and runs its words.
         let measure = |circuit, input, seed| {
             let _span = obs.span_metric("entropy.measure", Metric::EstimateNanos);
-            measure_reset_entropy(circuit, input, &noise, trials, seed)
+            let m = measure_reset_entropy(circuit, input, &noise, trials, seed);
+            obs.incr(Metric::EngineCompiles);
+            obs.add(Metric::ExecutedWords, trials.div_ceil(64));
+            obs.add(Metric::ExecutedTrials, trials);
+            m
         };
         let m_short = measure(p.short.circuit(), &p.input_short, seed);
         let m_long = measure(p.long.circuit(), &p.input_long, seed ^ 1);

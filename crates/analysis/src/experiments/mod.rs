@@ -63,7 +63,9 @@ pub struct RunConfig {
     /// Wide-word width of the batch word loops (pure throughput: results
     /// are bit-identical at any width).
     pub width: WordWidth,
-    /// Optional adaptive early stopping at this target relative error.
+    /// Optional adaptive early stopping once the pooled 95% interval's
+    /// relative half-width reaches this target
+    /// ([`McOptions::target_rel_error`]).
     pub target_rel_error: Option<f64>,
 }
 

@@ -5,23 +5,32 @@
 //! (a `(level, gate, cycles)` concatenation spec or a §2.2 transversal
 //! cycle), the noise model, the base seed, the estimator/backend policy
 //! and the per-round trial budget — and a [`JobRecord`] wraps it with a
-//! schema version. The runner executes the job as a sequence of
-//! **rounds**: each round runs `trials_per_round` fresh Monte-Carlo
-//! trials under a per-round salted seed, pools the tallies with every
-//! earlier round, and emits an [`IntervalUpdate`] carrying the pooled
-//! 95% confidence interval. A streaming consumer (the daemon's chunked
-//! HTTP response) forwards each update to the client and may cancel
-//! between rounds — which is how an early client disconnect frees the
-//! job's budget.
+//! schema version. A job is one resumable engine
+//! [`Estimation`](rft_revsim::estimate::Estimation) — the same round
+//! driver behind `Engine::estimate` — and runs as a sequence of
+//! **rounds**: round `r` advances it by `trials_per_round` trials, which
+//! pool with every earlier round's, and emits an [`IntervalUpdate`]
+//! carrying the pooled 95% confidence interval. The job stops after
+//! `max_rounds` rounds, or at the first round boundary where the pooled
+//! interval meets `target_rel_half_width` under the engine's own
+//! stopping rule ([`Interval::meets`](rft_revsim::estimate::Interval::meets)).
+//! A streaming consumer (the daemon's chunked HTTP response) forwards
+//! each update to the client and may cancel between rounds — which is
+//! how an early client disconnect frees the job's budget.
 //!
-//! **Determinism contract.** Round `r` derives its RNG streams from
-//! `spec.seed ^ round_salt(r)` and the engine's per-word seeding, so a
-//! job's updates are bit-identical for a fixed record at any thread
+//! **Determinism contract.** A job's words are numbered across rounds
+//! and word `i` draws from `(spec.seed ^ JOB_SALT, i)` — one constant
+//! domain-separation salt, no per-round seeds — so a plain job of `R`
+//! rounds of `64·k` trials runs exactly the words of one estimate of
+//! `R·64·k` trials at that seed. A `trials_per_round` that is not a
+//! multiple of 64 ends every round with a partial word. A stratified
+//! job's Neyman sub-rounds continue across rounds on the pooled
+//! tallies. None of this depends on the threads a round is granted, so
+//! a job's updates are bit-identical for a fixed record at any thread
 //! count, on any machine, served or replayed: the final streamed update
-//! of a completed job is **byte-identical** to
-//! `repro replay job.json` of its record (both serialize through
-//! [`FinalUpdate`]). Pinned by tests here, in `crates/serve`, and by the
-//! `serve_smoke.py` CI script.
+//! of a completed job is **byte-identical** to `repro replay job.json`
+//! of its record (both serialize through [`FinalUpdate`]). Pinned by
+//! tests here, in `crates/serve`, and by the `serve_smoke.py` CI script.
 
 use crate::experiment::CompileCache;
 use crate::stats::ErrorEstimate;
@@ -29,7 +38,7 @@ use rft_core::concat::FtBuilder;
 use rft_core::ftcheck::transversal_cycle;
 use rft_detect::{AdderKind, CheckedAdder, TrialMode};
 use rft_obs::Collector;
-use rft_revsim::engine::{BackendKind, Estimator, McOptions, StratumOutcome, WordWidth};
+use rft_revsim::engine::{BackendKind, Engine, Estimator, McOptions, WordTrial, WordWidth};
 use rft_revsim::gate::Gate;
 use rft_revsim::noise::UniformNoise;
 use serde::{Deserialize, Serialize};
@@ -108,7 +117,7 @@ pub struct JobSpec {
     pub circuit: CircuitSpec,
     /// The noise model.
     pub noise: NoiseSpec,
-    /// Base RNG seed (rounds salt it deterministically).
+    /// Base RNG seed (the job salts it with one constant).
     pub seed: u64,
     /// Estimator policy (`Auto` routes deep-sub-threshold jobs to the
     /// fault-count-stratified rare-event estimator).
@@ -117,14 +126,16 @@ pub struct JobSpec {
     pub backend: BackendKind,
     /// Wide-word width (pure throughput; never changes results).
     pub width: WordWidth,
-    /// Fresh trials per round (1..=[`MAX_TRIALS_PER_ROUND`]).
+    /// Trials each round adds to the pooled estimate
+    /// (1..=[`MAX_TRIALS_PER_ROUND`]).
     pub trials_per_round: u64,
     /// Round budget (1..=[`MAX_ROUNDS`]); the job stops earlier once the
     /// precision target is met.
     pub max_rounds: u32,
     /// Precision target: stop once the pooled interval's relative
-    /// half-width `(high − low) / (2 · rate)` is at or below this.
-    /// `None` always runs `max_rounds` rounds.
+    /// half-width `(high − low) / (2 · rate)` is at or below this — the
+    /// engine's stopping rule, checked at round boundaries. `None`
+    /// always runs `max_rounds` rounds.
     pub target_rel_half_width: Option<f64>,
     /// Wall-clock deadline in milliseconds for a *served* job. The
     /// daemon cancels a deadline-exceeded job at the next round boundary
@@ -447,41 +458,10 @@ pub enum JobControl {
     Cancel,
 }
 
-/// `splitmix64` — the per-round seed salt generator. A pure function of
-/// the round index, so replay derives the identical salt sequence.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// The seed salt of 1-based round `round` (round 1 included: every round
-/// runs on a salted stream, so a job's words never collide with the
-/// unsalted streams experiments use at the same seed).
-fn round_salt(round: u32) -> u64 {
-    // "RFT-SERVE" domain separation constant.
-    splitmix64(0x5246_5453_4552_5645 ^ u64::from(round))
-}
-
-/// Pools a round's per-stratum tallies into the running totals (strata
-/// are keyed by `(k_lo, k_hi)`; their exact weights are identical every
-/// round because the engine — and hence the fault-count PMF — is).
-fn pool_strata(pooled: &mut Vec<StratumOutcome>, round: &[StratumOutcome]) {
-    for s in round {
-        match pooled
-            .iter_mut()
-            .find(|p| p.k_lo == s.k_lo && p.k_hi == s.k_hi)
-        {
-            Some(p) => {
-                p.failures += s.failures;
-                p.trials += s.trials;
-            }
-            None => pooled.push(s.clone()),
-        }
-    }
-}
+/// The job domain-separation salt ("RFT-SERVE"): a job estimates at
+/// `spec.seed ^ JOB_SALT`, so its words never collide with the unsalted
+/// streams experiments use at the same seed.
+const JOB_SALT: u64 = 0x5246_5453_4552_5645;
 
 /// Runs `record` round by round, invoking `on_update` after every round
 /// with the pooled interval; compiled artifacts come from (and go into)
@@ -499,8 +479,8 @@ pub fn run_job_streaming<T, F>(
     cache: &CompileCache,
     obs: &Collector,
     record: &JobRecord,
-    mut round_threads: T,
-    mut on_update: F,
+    round_threads: T,
+    on_update: F,
 ) -> Result<Option<FinalUpdate>, String>
 where
     T: FnMut() -> usize,
@@ -509,114 +489,99 @@ where
     record.validate()?;
     let spec = &record.spec;
     let noise = spec.noise.model();
-
     // Compile once (or hit the process-wide cache); rounds only execute.
-    enum Compiled {
-        Concat(std::sync::Arc<crate::montecarlo::ConcatMc>),
-        Cycle(rft_core::ftcheck::CycleSpec),
-        Detect(Box<CheckedAdder>, TrialMode),
-    }
-    let compiled = match &spec.circuit {
+    Ok(match &spec.circuit {
         CircuitSpec::Concat {
             level,
             gate,
             cycles,
-        } => Compiled::Concat(cache.concat_with(obs, *level, *gate, *cycles)),
-        CircuitSpec::Cycle { gate } => Compiled::Cycle(transversal_cycle(gate)),
+        } => {
+            let mc = cache.concat_with(obs, *level, *gate, *cycles);
+            let engine = cache.engine_with(obs, mc.program().circuit(), &noise);
+            drive(&engine, &mc.trial(), obs, record, round_threads, on_update)
+        }
+        CircuitSpec::Cycle { gate } => {
+            let cycle = transversal_cycle(gate);
+            let engine = cache.engine_with(obs, cycle.circuit(), &noise);
+            drive(&engine, &cycle, obs, record, round_threads, on_update)
+        }
         CircuitSpec::DetectAdder { width, kind, mode } => {
             obs.incr(rft_obs::Metric::DetectSyntheses);
-            Compiled::Detect(Box::new(CheckedAdder::new(*kind, *width)), *mode)
+            let adder = CheckedAdder::new(*kind, *width);
+            let engine = cache.engine_with(obs, &adder.checked.circuit, &noise);
+            obs.incr(rft_obs::Metric::DetectEstimates);
+            let trial = adder.trial(*mode);
+            drive(&engine, &trial, obs, record, round_threads, on_update)
         }
-    };
-    let engine = match &compiled {
-        Compiled::Concat(mc) => cache.engine_with(obs, mc.program().circuit(), &noise),
-        Compiled::Cycle(cycle) => cache.engine_with(obs, cycle.circuit(), &noise),
-        Compiled::Detect(ca, _) => cache.engine_with(obs, &ca.checked.circuit, &noise),
-    };
+    })
+}
 
-    let mut pooled_failures = 0u64;
-    let mut pooled_trials = 0u64;
-    let mut pooled_strata: Vec<StratumOutcome> = Vec::new();
-    let mut executed_words = 0u64;
-    let mut estimator_name = "";
-    let mut backend_name = "";
-
-    let mut last: Option<IntervalUpdate> = None;
-    let mut rounds_run = 0u32;
+/// The job's round loop: one [`Estimation`] at the salted seed, advanced
+/// by `trials_per_round` per round, streaming its pooled interval and
+/// stopping on the engine's rule. Generic so the word loop stays
+/// monomorphized per trial type.
+fn drive<W, T, F>(
+    engine: &Engine,
+    trial: &W,
+    obs: &Collector,
+    record: &JobRecord,
+    mut round_threads: T,
+    mut on_update: F,
+) -> Option<FinalUpdate>
+where
+    W: WordTrial + ?Sized,
+    T: FnMut() -> usize,
+    F: FnMut(&IntervalUpdate) -> JobControl,
+{
+    let spec = &record.spec;
+    // `trials_per_round` only resolves the `Auto` backend label here.
+    let opts = McOptions::new(spec.trials_per_round)
+        .seed(spec.seed ^ JOB_SALT)
+        .backend(spec.backend)
+        .estimator(spec.estimator)
+        .width(spec.width);
+    let mut est = engine.estimation(trial, &opts, obs);
     for round in 1..=spec.max_rounds {
-        let opts = McOptions::new(spec.trials_per_round)
-            .seed(spec.seed)
-            .salt(round_salt(round))
-            .threads(round_threads().max(1))
-            .backend(spec.backend)
-            .estimator(spec.estimator)
-            .width(spec.width);
-        let outcome = match &compiled {
-            Compiled::Concat(mc) => engine.estimate_obs(&mc.trial(), &opts, obs),
-            Compiled::Cycle(cycle) => engine.estimate_obs(cycle, &opts, obs),
-            Compiled::Detect(ca, mode) => {
-                obs.incr(rft_obs::Metric::DetectEstimates);
-                engine.estimate_obs(&ca.trial(*mode), &opts, obs)
-            }
-        };
-        rounds_run = round;
-        executed_words += outcome.executed_words;
-        estimator_name = outcome.estimator;
-        backend_name = outcome.backend;
-        if outcome.strata.is_empty() {
-            pooled_failures += outcome.failures;
-            pooled_trials += outcome.trials;
-        } else {
-            pool_strata(&mut pooled_strata, &outcome.strata);
-        }
-
-        let estimate = if pooled_strata.is_empty() {
-            ErrorEstimate::from_counts(pooled_failures, pooled_trials.max(1))
-        } else {
-            ErrorEstimate::from_strata(&pooled_strata)
-        };
-        let rel_half_width =
-            (estimate.rate > 0.0).then(|| (estimate.high - estimate.low) / (2.0 * estimate.rate));
-        let converged = matches!(
-            (rel_half_width, spec.target_rel_half_width),
-            (Some(w), Some(t)) if w <= t
-        );
+        est.advance(spec.trials_per_round, round_threads());
+        let interval = est.interval();
+        let outcome = est.outcome();
+        let (executed_words, estimator, backend) =
+            (outcome.executed_words, outcome.estimator, outcome.backend);
+        let converged = spec
+            .target_rel_half_width
+            .is_some_and(|t| interval.meets(t));
+        let done = converged || round == spec.max_rounds;
         let update = IntervalUpdate {
             kind: "interval".into(),
             round,
             max_rounds: spec.max_rounds,
-            estimate,
-            rel_half_width,
+            estimate: ErrorEstimate::from(outcome),
+            rel_half_width: interval.rel_half_width(),
             executed_words,
             converged,
-            done: converged || round == spec.max_rounds,
+            done,
         };
-        let control = on_update(&update);
-        let done = update.done;
-        last = Some(update);
-        if control == JobControl::Cancel {
-            return Ok(None);
+        if on_update(&update) == JobControl::Cancel {
+            return None;
         }
         if done {
-            break;
+            return Some(FinalUpdate {
+                kind: "final".into(),
+                schema_version: JOB_SCHEMA_VERSION,
+                record: record.clone(),
+                result: JobResult {
+                    rounds: round,
+                    estimate: update.estimate,
+                    rel_half_width: update.rel_half_width,
+                    converged,
+                    executed_words,
+                    estimator: estimator.to_string(),
+                    backend: backend.to_string(),
+                },
+            });
         }
     }
-
-    let last = last.expect("max_rounds >= 1 ran at least one round");
-    Ok(Some(FinalUpdate {
-        kind: "final".into(),
-        schema_version: JOB_SCHEMA_VERSION,
-        record: record.clone(),
-        result: JobResult {
-            rounds: rounds_run,
-            estimate: last.estimate,
-            rel_half_width: last.rel_half_width,
-            converged: last.converged,
-            executed_words,
-            estimator: estimator_name.to_string(),
-            backend: backend_name.to_string(),
-        },
-    }))
+    unreachable!("the last round is done")
 }
 
 /// Runs `record` to completion (no streaming consumer) — the offline
@@ -927,6 +892,15 @@ mod tests {
         };
         cycle.trials_per_round = 1024;
         cycle.max_rounds = 3;
+        // Rounds that end on a partial word.
+        let mut partial = JobSpec::quick();
+        partial.noise = NoiseSpec::Uniform { g: 0.02 };
+        partial.trials_per_round = 100;
+        partial.max_rounds = 4;
+        // A stratified round of several sub-rounds, then rounds of one,
+        // each ending on a partial word.
+        let mut level2_partial = level2.clone();
+        level2_partial.trials_per_round = 100 * 64 + 36;
         let mut detect = JobSpec::quick();
         detect.circuit = CircuitSpec::DetectAdder {
             width: 4,
@@ -937,7 +911,7 @@ mod tests {
         detect.trials_per_round = 2048;
         detect.max_rounds = 3;
 
-        for spec in [plain, level2, cycle, detect] {
+        for spec in [plain, level2, cycle, partial, level2_partial, detect] {
             let rec = record(spec);
             let mut round = 0usize;
             let alternating = run_job_streaming(
@@ -962,6 +936,46 @@ mod tests {
                 rec.spec.circuit
             );
         }
+    }
+
+    #[test]
+    fn plain_job_rounds_are_one_estimate() {
+        // Words are numbered across rounds: R rounds of 64·k trials run
+        // exactly the words of one estimate of R·64·k trials.
+        let mut spec = JobSpec::quick();
+        spec.noise = NoiseSpec::Uniform { g: 0.02 };
+        spec.trials_per_round = 64 * 24;
+        spec.max_rounds = 5;
+        let job = run_job(
+            &CompileCache::new(),
+            &Collector::disabled(),
+            &record(spec.clone()),
+            2,
+        )
+        .expect("run");
+        let mc = crate::montecarlo::ConcatMc::new(
+            1,
+            Gate::Toffoli {
+                controls: [w(0), w(1)],
+                target: w(2),
+            },
+            1,
+        );
+        let engine = Engine::compile(mc.program().circuit(), &spec.noise.model());
+        let opts = McOptions::new(5 * 64 * 24)
+            .seed(spec.seed ^ JOB_SALT)
+            .estimator(Estimator::Plain);
+        let one = engine.estimate(&mc.trial(), &opts);
+        assert!(one.failures > 0, "the pin needs failures: {one:?}");
+        let result = &job.result;
+        assert_eq!(
+            (
+                result.estimate.failures,
+                result.estimate.trials,
+                result.executed_words
+            ),
+            (one.failures, one.trials, one.executed_words)
+        );
     }
 
     /// Final lines of three jobs whose backend reports `"scalar"`.

@@ -387,7 +387,7 @@ mod tests {
             &McOptions::new(100_000)
                 .seed(3)
                 .threads(2)
-                .target_rel_error(0.15),
+                .target_rel_error(0.294),
         );
         assert!(adaptive.early_stopped);
         assert!(

@@ -1,12 +1,14 @@
-//! Estimation statistics for Monte-Carlo experiments: binomial (Wilson)
-//! intervals for plain estimates, and their weighted generalization for
-//! the engine's fault-count-stratified rare-event estimator.
+//! Estimation statistics for Monte-Carlo experiments: the reported
+//! [`ErrorEstimate`] and fits over measured series. The interval math —
+//! binomial (Wilson) intervals and their weighted generalization for the
+//! engine's fault-count-stratified estimator — is the engine's own
+//! ([`rft_revsim::estimate`]), re-exported here.
 
-use rft_revsim::engine::{McOutcome, StratumOutcome};
+use rft_revsim::engine::McOutcome;
+use rft_revsim::estimate::Interval;
 use serde::{Deserialize, Serialize};
 
-/// The `z` value of a two-sided 95% normal interval.
-const Z95: f64 = 1.959964;
+pub use rft_revsim::estimate::{stratified_estimate, wilson_interval};
 
 /// A binomial error-rate estimate with a Wilson confidence interval.
 #[must_use = "an estimate should be inspected or reported"]
@@ -33,20 +35,14 @@ impl ErrorEstimate {
     pub fn from_counts(failures: u64, trials: u64) -> Self {
         assert!(trials > 0, "need at least one trial");
         assert!(failures <= trials, "more failures than trials");
-        let (low, high) = wilson_interval(failures, trials, Z95);
+        let Interval { rate, low, high } = Interval::binomial(failures, trials);
         ErrorEstimate {
             failures,
             trials,
-            rate: failures as f64 / trials as f64,
+            rate,
             low,
             high,
         }
-    }
-
-    /// Combines fault-count-stratified tallies into a weighted estimate
-    /// with a Wilson-style 95% interval (see [`stratified_estimate`]).
-    pub fn from_strata(strata: &[StratumOutcome]) -> Self {
-        stratified_estimate(strata, Z95)
     }
 
     /// Converts a per-`cycles` failure rate into a per-cycle rate via
@@ -62,110 +58,25 @@ impl ErrorEstimate {
         }
         1.0 - (1.0 - self.rate).powf(1.0 / cycles as f64)
     }
-
-    /// Whether the interval excludes a given rate.
-    #[must_use]
-    pub fn excludes(&self, rate: f64) -> bool {
-        rate < self.low || rate > self.high
-    }
 }
 
 /// An [`Engine`](rft_revsim::engine::Engine) estimation outcome wraps
-/// directly into a Wilson-interval estimate over the trials actually
-/// executed (which is what adaptive early stopping leaves behind). A
-/// stratified outcome routes through [`stratified_estimate`], so the
-/// reported rate and interval carry the exact stratum weights.
+/// directly into its pooled interval ([`McOutcome::interval`]) over the
+/// trials actually executed (which is what adaptive early stopping leaves
+/// behind): Wilson's for a plain outcome, [`stratified_estimate`] — with
+/// the exact stratum weights — for a stratified one, whose counts are the
+/// pooled conditional ones.
 impl From<McOutcome> for ErrorEstimate {
     fn from(outcome: McOutcome) -> Self {
-        if outcome.strata.is_empty() {
-            return ErrorEstimate::from_counts(outcome.failures, outcome.trials);
+        let Interval { rate, low, high } = outcome.interval();
+        ErrorEstimate {
+            failures: outcome.failures,
+            trials: outcome.trials,
+            rate,
+            low,
+            high,
         }
-        let mut est = stratified_estimate(&outcome.strata, Z95);
-        // Preserve the pooled conditional counts for reporting.
-        est.failures = outcome.failures;
-        est.trials = outcome.trials;
-        est
     }
-}
-
-/// Combines per-stratum tallies `(weight wₖ, failures fₖ, trials nₖ)`
-/// into a weighted estimate of `p = Σ wₖ qₖ` with a 95% interval.
-///
-/// The point estimate is the unbiased `Σ wₖ · fₖ/nₖ`. The interval
-/// generalizes Wilson: each stratum contributes its Wilson midpoint `cₖ`
-/// and half-width `hₖ`, combined as centre `Σ wₖ cₖ` and half-width
-/// `√(Σ (wₖ hₖ)²)` (strata are independent) — for a single stratum this
-/// reduces to the ordinary Wilson interval scaled by its weight. Strata
-/// with weight but **no trials** (budget exhausted before coverage)
-/// contribute their full ignorance interval `[0, wₖ]`, keeping the
-/// result conservative. The interval is clamped to `[0, Σ wₖ]`: the true
-/// rate cannot exceed the executed (non-elided) mass.
-pub fn stratified_estimate(strata: &[StratumOutcome], z: f64) -> ErrorEstimate {
-    let mut rate = 0.0;
-    let mut centre = 0.0;
-    let mut var = 0.0;
-    let mut unexecuted = 0.0;
-    let mut failures = 0u64;
-    let mut trials = 0u64;
-    let total_weight: f64 = strata.iter().map(|s| s.weight).sum();
-    for s in strata {
-        if s.weight <= 0.0 {
-            continue;
-        }
-        if s.trials == 0 {
-            // Unexecuted stratum: bounded below by 0, above by its whole
-            // weight — it widens only the upper side.
-            unexecuted += s.weight;
-            continue;
-        }
-        failures += s.failures;
-        trials += s.trials;
-        rate += s.weight * s.failures as f64 / s.trials as f64;
-        let (lo, hi) = wilson_interval(s.failures, s.trials, z);
-        let c = (lo + hi) / 2.0;
-        let h = (hi - lo) / 2.0;
-        centre += s.weight * c;
-        var += (s.weight * h) * (s.weight * h);
-    }
-    let half = var.sqrt();
-    // The Wilson midpoints are deliberately biased away from the extremes,
-    // so for very sparse strata the smoothed band can drift off the
-    // unbiased point estimate — widen minimally to contain it.
-    let low = (centre - half).max(0.0).min(rate);
-    let high = (centre + half + unexecuted)
-        .min(total_weight)
-        .min(1.0)
-        .max(rate);
-    ErrorEstimate {
-        failures,
-        trials,
-        rate,
-        low,
-        high,
-    }
-}
-
-/// The Wilson score interval for a binomial proportion.
-///
-/// Well-behaved at 0 and 1 and for small counts, unlike the normal
-/// approximation — important because deep-below-threshold error rates
-/// produce very few failures.
-///
-/// # Panics
-///
-/// Panics if `n == 0`.
-pub fn wilson_interval(successes: u64, n: u64, z: f64) -> (f64, f64) {
-    assert!(n > 0, "need at least one observation");
-    let n_f = n as f64;
-    let p = successes as f64 / n_f;
-    let z2 = z * z;
-    let denom = 1.0 + z2 / n_f;
-    let centre = p + z2 / (2.0 * n_f);
-    let half = z * (p * (1.0 - p) / n_f + z2 / (4.0 * n_f * n_f)).sqrt();
-    (
-        ((centre - half) / denom).max(0.0),
-        ((centre + half) / denom).min(1.0),
-    )
 }
 
 /// Least-squares slope of `y` against `x` — used to fit poly-log overhead
@@ -190,29 +101,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn wilson_contains_point_estimate() {
-        let (lo, hi) = wilson_interval(10, 100, 1.96);
-        assert!(lo < 0.1 && 0.1 < hi);
-        assert!(lo > 0.04 && hi < 0.19);
-    }
-
-    #[test]
-    fn wilson_handles_zero_and_all() {
-        let (lo, hi) = wilson_interval(0, 50, 1.96);
-        assert_eq!(lo, 0.0);
-        assert!(hi > 0.0 && hi < 0.15);
-        let (lo2, hi2) = wilson_interval(50, 50, 1.96);
-        assert!(lo2 > 0.85);
-        assert_eq!(hi2, 1.0);
-    }
-
-    #[test]
     fn estimate_from_counts() {
         let e = ErrorEstimate::from_counts(5, 1000);
         assert!((e.rate - 0.005).abs() < 1e-12);
         assert!(e.low < e.rate && e.rate < e.high);
-        assert!(e.excludes(0.5));
-        assert!(!e.excludes(0.005));
     }
 
     #[test]
@@ -246,72 +138,6 @@ mod tests {
     #[should_panic(expected = "at least one trial")]
     fn from_counts_rejects_zero_trials() {
         let _ = ErrorEstimate::from_counts(0, 0);
-    }
-
-    fn stratum(weight: f64, failures: u64, trials: u64) -> StratumOutcome {
-        StratumOutcome {
-            k_lo: 1,
-            k_hi: Some(1),
-            weight,
-            failures,
-            trials,
-        }
-    }
-
-    #[test]
-    fn single_stratum_reduces_to_scaled_wilson() {
-        let w = 0.05;
-        let est = stratified_estimate(&[stratum(w, 30, 1000)], 1.959964);
-        let (lo, hi) = wilson_interval(30, 1000, 1.959964);
-        assert!((est.rate - w * 0.03).abs() < 1e-12);
-        assert!(
-            (est.low - w * lo).abs() < 1e-12,
-            "{} vs {}",
-            est.low,
-            w * lo
-        );
-        assert!((est.high - w * hi).abs() < 1e-12);
-    }
-
-    #[test]
-    fn stratified_combines_independent_strata() {
-        let strata = [stratum(0.1, 50, 1000), stratum(0.01, 10, 100)];
-        let est = stratified_estimate(&strata, 1.959964);
-        let expect = 0.1 * 0.05 + 0.01 * 0.1;
-        assert!((est.rate - expect).abs() < 1e-12);
-        assert!(est.low < est.rate && est.rate < est.high);
-        // Tighter than the naive sum of the two scaled intervals.
-        let (l1, h1) = wilson_interval(50, 1000, 1.959964);
-        let (l2, h2) = wilson_interval(10, 100, 1.959964);
-        let naive = (0.1 * (h1 - l1) + 0.01 * (h2 - l2)) / 2.0;
-        assert!((est.high - est.low) / 2.0 <= naive + 1e-12);
-        assert_eq!(est.failures, 60);
-        assert_eq!(est.trials, 1100);
-    }
-
-    #[test]
-    fn unexecuted_stratum_contributes_full_ignorance() {
-        let strata = [stratum(0.2, 0, 500), stratum(0.01, 0, 0)];
-        let est = stratified_estimate(&strata, 1.959964);
-        // The unexecuted stratum's whole weight stays inside the interval.
-        assert!(est.high >= 0.01, "high {} must cover [0, 0.01]", est.high);
-        assert_eq!(est.rate, 0.0);
-        assert_eq!(est.low, 0.0);
-    }
-
-    #[test]
-    fn stratified_interval_clamps_to_executed_mass() {
-        // All conditional trials fail: the upper bound cannot exceed the
-        // stratum mass.
-        let est = stratified_estimate(&[stratum(0.03, 100, 100)], 1.959964);
-        assert!(est.high <= 0.03 + 1e-15);
-        assert!(est.rate <= 0.03 + 1e-15);
-    }
-
-    #[test]
-    fn zero_weight_everything_is_exactly_zero() {
-        let est = stratified_estimate(&[stratum(0.0, 0, 0)], 1.959964);
-        assert_eq!((est.rate, est.low, est.high), (0.0, 0.0, 0.0));
     }
 
     #[test]

@@ -107,12 +107,13 @@ fn batch_split_noise_matches_perfect_init_semantics() {
 #[test]
 fn adaptive_early_stopping_meets_its_wilson_bound() {
     // Wilson-bound check of the adaptive path: ask for a target relative
-    // standard error, and verify (a) the run stops early, (b) the achieved
-    // Wilson interval is consistent with the requested precision, and
-    // (c) the early-stopped interval covers a high-budget reference rate.
+    // half-width (1.96 × a 10% relative standard error), and verify (a)
+    // the run stops early, (b) the achieved Wilson interval is consistent
+    // with the requested precision, and (c) the early-stopped interval
+    // covers a high-budget reference rate.
     let mc = ConcatMc::new(1, toffoli(), 1);
     let noise = UniformNoise::new(1.0 / 60.0);
-    let target = 0.10;
+    let target = 0.196;
     let outcome = mc.estimate_outcome(
         &noise,
         &McOptions::new(2_000_000)
@@ -129,12 +130,11 @@ fn adaptive_early_stopping_meets_its_wilson_bound() {
     );
 
     let est = ErrorEstimate::from(outcome);
-    // (b) The Wilson half-width at stop time should be in the vicinity of
-    // z·target·rate — allow 2× slack for the discreteness of round
-    // boundaries and the normal-vs-Wilson difference.
+    // (b) The Wilson half-width at stop time is what the stopping rule
+    // reads, so it is at most target·rate.
     let half_width = (est.high - est.low) / 2.0;
     assert!(
-        half_width <= 2.0 * 1.96 * target * est.rate,
+        half_width <= target * est.rate,
         "half-width {half_width} too wide for target {target} at rate {}",
         est.rate
     );
@@ -222,7 +222,7 @@ fn adaptive_stopping_is_noop_when_failures_are_scarce() {
         &McOptions::new(3_000)
             .seed(8)
             .threads(2)
-            .target_rel_error(0.05),
+            .target_rel_error(0.098),
     );
     assert!(!outcome.early_stopped);
     assert_eq!(outcome.trials, 3_000);

@@ -73,7 +73,7 @@ fn engine_estimate_roundtrip(c: &mut Criterion) {
             .seed(1)
             .threads(1)
             .estimator(Estimator::Plain)
-            .target_rel_error(0.2);
+            .target_rel_error(0.392);
         b.iter(|| black_box(estimate_cycle_error(&spec, &noise, &opts).failures));
     });
     group.finish();

@@ -27,8 +27,9 @@
 //! reads `batch` from 256 trials up; results never depend on it);
 //! `--estimator` selects the Monte-Carlo estimator (`auto` routes
 //! deep-sub-threshold points to fault-count-stratified rare-event
-//! sampling); `--rel-error` enables adaptive early stopping at the given
-//! target relative standard error.
+//! sampling); `--rel-error E` enables adaptive early stopping once the
+//! pooled 95% interval's relative half-width `(high − low) / (2 · rate)`
+//! is at or below `E` (about 1.96× a relative standard error).
 //!
 //! Observability: per-experiment progress lines go to stderr by default
 //! (`--quiet` silences them); `--trace FILE` records spans from the
@@ -93,7 +94,9 @@ fn usage() -> String {
          nonzero if any experiment self-check fails; `--quiet` silences the\n\
          per-experiment stderr progress lines; `--trace FILE` writes a\n\
          Chrome-trace-event JSON of the run; `--metrics` prints the counter\n\
-         table and attaches resource sections to reports.",
+         table and attaches resource sections to reports; `--rel-error E` stops\n\
+         each estimate once its 95% interval's relative half-width\n\
+         (high - low) / (2 * rate) is at or below E.",
         ids.join(" ")
     )
 }

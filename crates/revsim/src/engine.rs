@@ -12,11 +12,15 @@
 //!   across as many runs as needed.
 //! - [`McOptions`] — the typed Monte-Carlo run configuration: `trials`,
 //!   `seed`, `threads`, a [`BackendKind`] label, a [`WordWidth`], an
-//!   [`Estimator`] policy, and an optional target relative error that
-//!   enables adaptive early stopping.
+//!   [`Estimator`] policy, and an optional target relative half-width
+//!   that enables adaptive early stopping.
 //! - [`WordTrial`] — how a caller prepares 64 trial inputs and judges 64
 //!   outcomes; [`Engine::estimate`] drives it through the word loop,
 //!   threaded and deterministically seeded.
+//!
+//! The estimators' round loop, its stopping rule and the interval math
+//! live in [`crate::estimate`]; this module compiles, schedules faults
+//! and runs words.
 //!
 //! Deterministic fault injection for the exhaustive proofs is
 //! [`FaultPlan::run`](crate::fault::FaultPlan::run).
@@ -79,7 +83,7 @@
 //! `Σ_k w_k² q_k (1 − q_k) / n_k` — smaller than plain MC's
 //! `p(1 − p)/n` by roughly the fault-free mass, and far smaller once the
 //! per-round Neyman reallocation concentrates trials in the strata that
-//! actually produce failures. `rft_analysis::stats::stratified_estimate`
+//! actually produce failures. [`crate::estimate::stratified_estimate`]
 //! turns the per-stratum tallies into a Wilson-style confidence interval.
 //!
 //! **Worked level-2 example.** A level-2 concatenated Toffoli cycle has
@@ -141,7 +145,7 @@ use crate::op::Op;
 use crate::state::BitState;
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
-use rft_obs::{Collector, Gauge, Hist, Metric};
+use rft_obs::{Collector, Metric};
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::fmt;
@@ -167,20 +171,6 @@ pub const STRATIFIED_ROUTING_THRESHOLD: f64 = 0.2;
 /// estimator is exactly unbiased for the truncated distribution, which is
 /// within this absolute mass of the true Poisson binomial.
 const PMF_TAIL_EPS: f64 = 1e-12;
-
-/// Upper bound on the doubling round size of the stratified word loop
-/// (bounds per-round hand-off overhead without starving reallocation).
-const MAX_ROUND_WORDS: u64 = 8192;
-
-/// Failures required before adaptive early stopping may trigger (below
-/// this the relative-error estimate itself is too noisy to act on).
-const MIN_FAILURES_FOR_STOP: u64 = 16;
-
-/// Words per adaptive round (stopping checks happen at round boundaries).
-/// Fixed — independent of the thread count — so an early-stopped result
-/// is exactly as deterministic as a full run: a function of the seed
-/// alone.
-const ADAPTIVE_ROUND_WORDS: u64 = 32;
 
 /// Per-word seed stride (golden-ratio odd constant, as in SplitMix64):
 /// word `i` of a run seeded `s` draws from
@@ -833,7 +823,7 @@ impl Engine {
     /// this call performs the lowering, the time lands in
     /// `engine.lower_ns` under an `engine.lower` span. Subsequent calls
     /// hit the memoized program and record nothing.
-    fn compiled_obs(&self, obs: &Collector) -> &CompiledOps {
+    pub(crate) fn compiled_obs(&self, obs: &Collector) -> &CompiledOps {
         if let Some(compiled) = self.compiled.get() {
             return compiled;
         }
@@ -1159,166 +1149,7 @@ impl Engine {
         run_masked_word_batch(&self.circuit, batch, masks, rng)
     }
 
-    /// Monte-Carlo estimation: runs `opts.trials` independent trials of
-    /// `trial` on the compiled word loop at the width `opts` resolves,
-    /// and counts failing lanes.
-    ///
-    /// With `opts.threads > 1`, each round's words are shared between the
-    /// calling thread and up to `opts.threads − 1` persistent helper
-    /// threads: one process-wide pool of `available_parallelism() − 1`
-    /// helpers, started on first use and parked between rounds, so a
-    /// round spawns no threads. The caller always works on the round and
-    /// never waits for a helper that has not started, so asking for more
-    /// threads never makes a small estimate meaningfully slower.
-    ///
-    /// Trials are packed 64 per word; each word derives its RNG from
-    /// `opts.seed` and the word index, so results are **a function of the
-    /// seed alone**, the same at any thread count and width. With
-    /// [`McOptions::target_rel_error`] set, estimation stops early once
-    /// the estimated relative standard error of the failure rate reaches
-    /// the target; stopping happens at fixed thread-independent round
-    /// boundaries, so even early-stopped results are a function of the
-    /// seed alone.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `opts.trials == 0` or the trial's width disagrees with
-    /// the compiled circuit.
-    pub fn estimate<T: WordTrial + ?Sized>(&self, trial: &T, opts: &McOptions) -> McOutcome {
-        self.estimate_obs(trial, opts, &Collector::disabled())
-    }
-
-    /// [`Engine::estimate`] with instrumentation: counters, histograms
-    /// and spans land in `obs` (see the `rft-obs` catalog for the metric
-    /// names). Collection is strictly observational — it never touches an
-    /// RNG stream or a scheduling decision, so the outcome is
-    /// byte-identical to [`Engine::estimate`] for the same inputs. Word
-    /// tallies are accumulated as plain integers inside the hot loops and
-    /// flushed to the collector once per run, so the enabled path stays
-    /// within noise of the disabled one (gated ≤ 2% by the
-    /// `obs_overhead` bench group).
-    ///
-    /// # Panics
-    ///
-    /// Panics as [`Engine::estimate`].
-    pub fn estimate_obs<T: WordTrial + ?Sized>(
-        &self,
-        trial: &T,
-        opts: &McOptions,
-        obs: &Collector,
-    ) -> McOutcome {
-        assert!(opts.trials > 0, "need at least one trial");
-        assert_eq!(
-            trial.n_wires(),
-            self.circuit.n_wires(),
-            "trial width must match circuit width"
-        );
-        let _span = obs.span_metric("engine.estimate", Metric::EstimateNanos);
-        obs.incr(Metric::EstimateCalls);
-        let run = Run {
-            width: opts.width.resolve(),
-            backend: opts.backend.resolve(opts.trials).name(),
-        };
-        // Force the lazy IR lowering here so its cost is attributed to
-        // `engine.lower` instead of bleeding into the word loops.
-        self.compiled_obs(obs);
-        let resolved = match opts.estimator {
-            Estimator::Auto => {
-                let m = trial.min_failing_faults();
-                assert!(
-                    m == 0 || !trial.fault_free_can_fail(),
-                    "a trial whose fault-free lanes can fail must report \
-                     min_failing_faults() == 0"
-                );
-                // P(K ≥ m): the cheap product for m ≤ 1, the lazily built
-                // fault-count distribution beyond.
-                let mass = match m {
-                    0 => 1.0,
-                    1 => 1.0 - self.fault_free_probability(),
-                    _ => self.fault_dist().mass_at_least(m as usize),
-                };
-                Estimator::Auto.resolve(mass, m)
-            }
-            explicit => explicit,
-        };
-        match resolved {
-            Estimator::Stratified {
-                min_faults,
-                strata_cap,
-            } => {
-                assert!(
-                    min_faults == 0 || !trial.fault_free_can_fail(),
-                    "the stratified estimator elides words with fewer than {min_faults} \
-                     faults, but this trial reports that fault-free words can fail \
-                     (WordTrial::fault_free_can_fail); use min_faults = 0 or Estimator::Plain"
-                );
-                self.estimate_stratified(run, trial, opts, min_faults, strata_cap, obs)
-            }
-            _ => self.estimate_plain(run, trial, opts, obs),
-        }
-    }
-
-    /// The classic estimator: every requested trial is executed.
-    fn estimate_plain<T: WordTrial + ?Sized>(
-        &self,
-        run: Run,
-        trial: &T,
-        opts: &McOptions,
-        obs: &Collector,
-    ) -> McOutcome {
-        obs.incr(Metric::PlainRuns);
-        let threads = opts.threads.max(1);
-        let total_words = opts.trials.div_ceil(64);
-        let round_words = match opts.target_rel_error {
-            Some(_) => ADAPTIVE_ROUND_WORDS.min(total_words),
-            None => total_words,
-        };
-        let mut done = 0u64;
-        let mut failures = 0u64;
-        let mut executed = 0u64;
-        let mut extras = WordExtras::default();
-        let mut early_stopped = false;
-        while done < total_words {
-            let n = round_words.min(total_words - done);
-            let (tallies, x) = self.run_span(
-                run.width,
-                trial,
-                opts,
-                Words::Plain,
-                done..done + n,
-                threads,
-                obs,
-            );
-            failures += tallies[0].0;
-            executed += tallies[0].1;
-            extras.merge(x);
-            done += n;
-            if done >= total_words {
-                break;
-            }
-            if let Some(target) = opts.target_rel_error {
-                if converged(failures, executed, target) {
-                    early_stopped = true;
-                    break;
-                }
-            }
-        }
-        let outcome = McOutcome {
-            failures,
-            trials: executed,
-            requested: opts.trials,
-            early_stopped,
-            backend: run.backend,
-            estimator: "plain",
-            sample_weight: 1.0,
-            executed_words: done,
-            strata: Vec::new(),
-        };
-        flush_run(obs, &outcome, &extras);
-        outcome
-    }
-
-    /// Runs the slots `span` of `words` on the caller plus up to
+    /// Runs the `n` slots of `words` on the caller plus up to
     /// `threads − 1` persistent helpers (see [`helpers::run_chunked`]),
     /// returning per-tally `(failures, trials)` and the word extras.
     /// Participants claim chunks of the span from one cursor, so a
@@ -1327,25 +1158,21 @@ impl Engine {
     /// `engine.words` span on its own thread so the trace attributes
     /// word-loop time to the thread that spent it; the split itself never
     /// consults the collector.
-    #[allow(clippy::too_many_arguments)]
-    fn run_span<T: WordTrial + ?Sized>(
+    pub(crate) fn run_span<T: WordTrial + ?Sized>(
         &self,
         width: usize,
         trial: &T,
-        opts: &McOptions,
         words: Words<'_>,
-        span: Range<u64>,
+        n: u64,
         threads: usize,
         obs: &Collector,
     ) -> (Vec<(u64, u64)>, WordExtras) {
-        let start = span.start;
-        helpers::run_chunked(threads, span.end - start, chunk_words(width), |claims| {
+        helpers::run_chunked(threads, n, chunk_words(width), |claims| {
             let _s = obs.span("engine.words");
-            let slots = claims.map(|r| start + r.start..start + r.end);
             match width {
-                2 => self.run_words::<T, 2>(trial, opts, words, slots),
-                4 => self.run_words::<T, 4>(trial, opts, words, slots),
-                _ => self.run_words::<T, 1>(trial, opts, words, slots),
+                2 => self.run_words::<T, 2>(trial, words, claims),
+                4 => self.run_words::<T, 4>(trial, words, claims),
+                _ => self.run_words::<T, 1>(trial, words, claims),
             }
         })
         .into_iter()
@@ -1367,7 +1194,6 @@ impl Engine {
     fn run_words<T: WordTrial + ?Sized, const W: usize>(
         &self,
         trial: &T,
-        opts: &McOptions,
         words: Words<'_>,
         slots: impl Iterator<Item = Range<u64>>,
     ) -> (Vec<(u64, u64)>, WordExtras) {
@@ -1387,7 +1213,7 @@ impl Engine {
                     // Remainder words run at width 1 — bit-identical, since
                     // every word owns its RNG stream regardless of grouping.
                     let once = std::iter::once(slot..end);
-                    let (rest, x) = self.run_words::<T, 1>(trial, opts, words, once);
+                    let (rest, x) = self.run_words::<T, 1>(trial, words, once);
                     add_tallies(&mut tallies, &rest);
                     extras.merge(x);
                     break;
@@ -1395,16 +1221,14 @@ impl Engine {
                 scratch.begin(self.n_ops(), W, true);
                 for (k, word_inputs) in inputs.iter_mut().enumerate() {
                     let s = slot + k as u64;
-                    let seed = opts.seed ^ WORD_SEED_STRIDE.wrapping_mul(words.word(s) + 1);
-                    let mut rng = SmallRng::seed_from_u64(seed);
+                    let mut rng = SmallRng::seed_from_u64(words.seed(s));
                     col.clear();
                     trial.prepare_into(&mut col, &mut rng, word_inputs);
                     wide.load_column(k, &col);
-                    match words {
-                        Words::Plain => self.plain_plan().place(dist, k, &mut rng, &mut scratch),
-                        Words::Stratified(round) => {
-                            let si = words.tally(s);
-                            round.plan.place(dist, si, k, &mut rng, &mut scratch);
+                    match words.strata {
+                        None => self.plain_plan().place(dist, k, &mut rng, &mut scratch),
+                        Some((plan, _)) => {
+                            plan.place(dist, words.tally(s), k, &mut rng, &mut scratch)
                         }
                     }
                     scratch.draw_planes(&self.table.arity, k, &mut rng);
@@ -1415,7 +1239,7 @@ impl Engine {
                 extras.replayed_segments += outcome.replayed_segments;
                 for (k, word_inputs) in inputs.iter().enumerate() {
                     let s = slot + k as u64;
-                    let valid = valid_lanes(opts.trials, words.word(s));
+                    let valid = valid_lanes(words.trials, s);
                     extras.faulted_lanes += (outcome.faulted[k] & valid).count_ones() as u64;
                     let candidates = if judge_faulted_only {
                         outcome.faulted[k] & valid
@@ -1437,143 +1261,10 @@ impl Engine {
         (tallies, extras)
     }
 
-    /// The fault-count-stratified rare-event estimator (see the module
-    /// docs for the derivation). Words are generated *conditioned on their
-    /// stratum's fault count*; strata below `min_faults` contribute
-    /// analytically as exact zeros.
-    #[allow(clippy::too_many_arguments)]
-    fn estimate_stratified<T: WordTrial + ?Sized>(
-        &self,
-        run: Run,
-        trial: &T,
-        opts: &McOptions,
-        min_faults: u32,
-        strata_cap: u32,
-        obs: &Collector,
-    ) -> McOutcome {
-        obs.incr(Metric::StratifiedRuns);
-        // Stratum layout + tail CDF are pure functions of the compiled
-        // fault-count PMF — derived once per (min_faults, strata_cap)
-        // and memoized on the engine.
-        let plan = self.strata_plan(min_faults, strata_cap);
-        let mut strata: Vec<StratumOutcome> = plan.strata.clone();
-        let sample_weight = plan.sample_weight;
-        obs.set_gauge(Gauge::ElidedMass, (1.0 - sample_weight).max(0.0));
-        if plan.all_elided {
-            // Everything below `min_faults`: the whole budget resolves
-            // analytically (e.g. a noiseless model) — nothing to execute.
-            let outcome = McOutcome {
-                failures: 0,
-                trials: opts.trials,
-                requested: opts.trials,
-                early_stopped: false,
-                backend: run.backend,
-                estimator: "stratified",
-                sample_weight,
-                executed_words: 0,
-                strata,
-            };
-            flush_run(obs, &outcome, &WordExtras::default());
-            return outcome;
-        }
-
-        let threads = opts.threads.max(1);
-        let total_words = opts.trials.div_ceil(64);
-        let mut next_word = 0u64;
-        let mut round_size = ADAPTIVE_ROUND_WORDS;
-        let mut early_stopped = false;
-        let mut assignment: Vec<u32> = Vec::new();
-        let mut extras = WordExtras::default();
-        while next_word < total_words {
-            let _round_span = obs.span("estimator.round");
-            obs.incr(Metric::StratifiedRounds);
-            let round = round_size.min(total_words - next_word);
-            obs.add(Metric::AllocatedWords, round);
-            // Neyman scores from the *observed* per-stratum variance
-            // `wₖ·√(q̂ₖ(1−q̂ₖ))`. A stratum that has never failed is
-            // scored by its rule-of-three uncertainty `wₖ·√(1.5/nₖ)` —
-            // the term the stopping rule must drive down — capped at
-            // twice the best failing score so it cannot starve failure
-            // accumulation. Before any failure exists anywhere, all
-            // scores are zero and the round splits uniformly (discovery).
-            let max_failing = strata
-                .iter()
-                .filter(|s| s.weight > 0.0 && s.trials > 0 && s.failures > 0)
-                .map(|s| {
-                    let q = s.failures as f64 / s.trials as f64;
-                    s.weight * (q * (1.0 - q)).sqrt()
-                })
-                .fold(0.0f64, f64::max);
-            let scores: Vec<f64> = strata
-                .iter()
-                .map(|s| {
-                    if s.weight <= 0.0 || s.trials == 0 || max_failing <= 0.0 {
-                        return 0.0;
-                    }
-                    if s.failures == 0 {
-                        let n = s.trials as f64;
-                        return (s.weight * (1.5 / n).sqrt()).min(2.0 * max_failing);
-                    }
-                    let q = s.failures as f64 / s.trials as f64;
-                    s.weight * (q * (1.0 - q)).sqrt()
-                })
-                .collect();
-            let weights: Vec<f64> = strata.iter().map(|s| s.weight).collect();
-            let alloc = apportion_words(&scores, &weights, round);
-            assignment.clear();
-            for (si, &n) in alloc.iter().enumerate() {
-                if n > 0 {
-                    obs.observe(Hist::RoundWords, n);
-                }
-                assignment.extend(std::iter::repeat_n(si as u32, n as usize));
-            }
-            let layout = StratifiedRound {
-                plan: &plan,
-                base_word: next_word,
-                assignment: &assignment,
-            };
-            let words = Words::Stratified(&layout);
-            let span = 0..assignment.len() as u64;
-            let (tallies, round_extras) =
-                self.run_span(run.width, trial, opts, words, span, threads, obs);
-            extras.merge(round_extras);
-            extras.masked_words += round;
-            for (s, (f, n)) in strata.iter_mut().zip(&tallies) {
-                s.failures += f;
-                s.trials += n;
-            }
-            next_word += round;
-            round_size = (round_size * 2).min(MAX_ROUND_WORDS);
-            if next_word >= total_words {
-                break;
-            }
-            if let Some(target) = opts.target_rel_error {
-                if stratified_converged(&strata, target) {
-                    early_stopped = true;
-                    break;
-                }
-            }
-        }
-
-        let outcome = McOutcome {
-            failures: strata.iter().map(|s| s.failures).sum(),
-            trials: strata.iter().map(|s| s.trials).sum(),
-            requested: opts.trials,
-            early_stopped,
-            backend: run.backend,
-            estimator: "stratified",
-            sample_weight,
-            executed_words: next_word,
-            strata,
-        };
-        flush_run(obs, &outcome, &extras);
-        outcome
-    }
-
     /// The memoized stratified-estimator layout for
     /// `(min_faults, strata_cap)`: stratum template (weights off the
     /// Poisson-binomial PMF) plus the tail stratum's conditional CDF.
-    fn strata_plan(&self, min_faults: u32, strata_cap: u32) -> Arc<StrataPlan> {
+    pub(crate) fn strata_plan(&self, min_faults: u32, strata_cap: u32) -> Arc<StrataPlan> {
         let mut plans = self.plans.lock().expect("strata plan cache poisoned");
         if let Some(plan) = plans
             .iter()
@@ -1618,15 +1309,15 @@ impl Engine {
 
 /// A memoized stratified-estimator layout (see [`Engine::strata_plan`]).
 #[derive(Debug)]
-struct StrataPlan {
+pub(crate) struct StrataPlan {
     min_faults: u32,
     strata_cap: u32,
     /// Zero-tally stratum template with exact weights.
-    strata: Vec<StratumOutcome>,
+    pub(crate) strata: Vec<StratumOutcome>,
     /// Total executable probability mass.
-    sample_weight: f64,
+    pub(crate) sample_weight: f64,
     /// Every stratum weight is zero — the run resolves analytically.
-    all_elided: bool,
+    pub(crate) all_elided: bool,
     /// The tail stratum's fault count.
     tail: CountCdf,
 }
@@ -1660,69 +1351,57 @@ impl StrataPlan {
     }
 }
 
-/// One stratified round: `assignment[i]` names the stratum of global word
-/// `base_word + i`.
-struct StratifiedRound<'a> {
-    plan: &'a StrataPlan,
-    base_word: u64,
-    assignment: &'a [u32],
-}
-
-/// What tells the two estimators' word loops apart: which global word a
-/// loop slot is, how its lanes' faults are drawn, and which tally it
-/// feeds.
+/// The words one word-loop span runs: slot `s` is global word
+/// `base + s`, seeded from `(seed, base + s)`; the span's first `trials`
+/// lanes are live, so its last word may be partial. A stratified span
+/// places slot `s` in stratum `assignment[s]` of its plan; a plain span
+/// draws the plain schedule into its one tally.
 #[derive(Clone, Copy)]
-enum Words<'a> {
-    /// Slot `i` is global word `i`, with the plain schedule; one tally.
-    Plain,
-    /// Slot `i` is word `i` of the round, in stratum `assignment[i]`;
-    /// one tally per stratum.
-    Stratified(&'a StratifiedRound<'a>),
+pub(crate) struct Words<'a> {
+    /// Base RNG seed of the estimate.
+    pub(crate) seed: u64,
+    /// Global index of slot 0.
+    pub(crate) base: u64,
+    /// Live trials from slot 0 on.
+    pub(crate) trials: u64,
+    /// The stratified plan and slot → stratum assignment (`None`: plain).
+    pub(crate) strata: Option<(&'a StrataPlan, &'a [u32])>,
 }
 
 impl Words<'_> {
-    fn word(self, slot: u64) -> u64 {
-        match self {
-            Words::Plain => slot,
-            Words::Stratified(round) => round.base_word + slot,
-        }
+    fn seed(self, slot: u64) -> u64 {
+        self.seed ^ WORD_SEED_STRIDE.wrapping_mul(self.base + slot + 1)
     }
 
     fn tally(self, slot: u64) -> usize {
-        match self {
-            Words::Plain => 0,
-            Words::Stratified(round) => round.assignment[slot as usize] as usize,
-        }
+        self.strata.map_or(0, |(_, a)| a[slot as usize] as usize)
     }
 
     fn tallies(self) -> usize {
-        match self {
-            Words::Plain => 1,
-            Words::Stratified(round) => round.plan.strata.len(),
-        }
+        self.strata.map_or(1, |(plan, _)| plan.strata.len())
     }
 }
 
 /// Plain-integer tallies gathered inside the word loops and flushed to
-/// the [`Collector`] exactly once per estimate — the hot loops never
-/// touch an atomic, so fully-enabled instrumentation costs a handful of
-/// register adds per word.
+/// the [`Collector`] once per advance of an estimation — the hot loops
+/// never touch an atomic, so fully-enabled instrumentation costs a
+/// handful of register adds per word.
 #[derive(Debug, Clone, Copy, Default)]
-struct WordExtras {
+pub(crate) struct WordExtras {
     /// Lanes that saw ≥1 fault, summed over valid lanes of every word.
-    faulted_lanes: u64,
+    pub(crate) faulted_lanes: u64,
     /// Individual fault injections across all lanes and ops.
-    fault_events: u64,
+    pub(crate) fault_events: u64,
     /// Segment executions that stayed on the fused fast path.
-    fused_segments: u64,
+    pub(crate) fused_segments: u64,
     /// Segment executions that fell back to native replay.
-    replayed_segments: u64,
+    pub(crate) replayed_segments: u64,
     /// Words executed under a conditional (stratified) mask schedule.
-    masked_words: u64,
+    pub(crate) masked_words: u64,
 }
 
 impl WordExtras {
-    fn merge(&mut self, o: WordExtras) {
+    pub(crate) fn merge(&mut self, o: WordExtras) {
         self.faulted_lanes += o.faulted_lanes;
         self.fault_events += o.fault_events;
         self.fused_segments += o.fused_segments;
@@ -1739,158 +1418,16 @@ fn add_tallies(acc: &mut [(u64, u64)], part: &[(u64, u64)]) {
     }
 }
 
-/// Folds one finished estimate's tallies into the collector.
-fn flush_run(obs: &Collector, outcome: &McOutcome, extras: &WordExtras) {
-    obs.add(Metric::ExecutedWords, outcome.executed_words);
-    obs.add(Metric::ExecutedTrials, outcome.trials);
-    obs.add(Metric::LaneFailures, outcome.failures);
-    if outcome.early_stopped {
-        obs.incr(Metric::EarlyStops);
-    }
-    obs.add(Metric::FaultedLanes, extras.faulted_lanes);
-    obs.add(Metric::FaultEvents, extras.fault_events);
-    obs.add(Metric::FusedSegments, extras.fused_segments);
-    obs.add(Metric::ReplayedSegments, extras.replayed_segments);
-    obs.add(Metric::MaskedWords, extras.masked_words);
-}
-
-/// Lanes of global word `word` that lie inside the trial budget (the
-/// final word may cover fewer than 64 real trials).
+/// Lanes of slot `slot` that lie inside a span of `trials` live lanes
+/// (the final word may cover fewer than 64 real trials).
 #[inline]
-fn valid_lanes(trials: u64, word: u64) -> u64 {
-    let live = trials - word * 64;
+fn valid_lanes(trials: u64, slot: u64) -> u64 {
+    let live = trials - slot * 64;
     if live >= 64 {
         u64::MAX
     } else {
         (1u64 << live) - 1
     }
-}
-
-/// Splits `total` round words across strata by largest-remainder
-/// apportionment over `scores` (deterministic; ties break toward lower
-/// indices).
-///
-/// With no positive score anywhere (nothing has failed yet) the round is
-/// split **uniformly** across live strata — uniform discovery finds the
-/// failure-bearing strata orders of magnitude sooner than weight-
-/// proportional splitting when the heavy strata provably never fail.
-/// Every live stratum keeps a one-word floor so a mistakenly written-off
-/// stratum can resurface.
-fn apportion_words(scores: &[f64], weights: &[f64], total: u64) -> Vec<u64> {
-    let n = scores.len();
-    let mut alloc = vec![0u64; n];
-    if total == 0 {
-        return alloc;
-    }
-    let live: Vec<bool> = weights.iter().map(|&w| w > 0.0).collect();
-    let sum: f64 = scores.iter().sum();
-    if sum <= 0.0 {
-        // Discovery mode: uniform over live strata; when there are fewer
-        // words than strata, the heaviest strata are served first (a
-        // one-word budget should probe where the mass is).
-        let n_live = live.iter().filter(|&&l| l).count().max(1) as u64;
-        let base = total / n_live;
-        let mut extra = total % n_live;
-        let mut order: Vec<usize> = (0..n).filter(|&i| live[i]).collect();
-        order.sort_by(|&a, &b| weights[b].partial_cmp(&weights[a]).unwrap().then(a.cmp(&b)));
-        let mut given = 0u64;
-        for &i in &order {
-            let take = base + u64::from(extra > 0);
-            extra = extra.saturating_sub(1);
-            alloc[i] += take;
-            given += take;
-        }
-        if given < total {
-            alloc[0] += total - given;
-        }
-        return alloc;
-    }
-    let mut assigned = 0u64;
-    let mut fracs: Vec<(f64, usize)> = Vec::with_capacity(n);
-    for (i, &s) in scores.iter().enumerate() {
-        let quota = total as f64 * s / sum;
-        let floor = quota.floor() as u64;
-        alloc[i] += floor;
-        assigned += floor;
-        fracs.push((quota - floor as f64, i));
-    }
-    fracs.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap().then(a.1.cmp(&b.1)));
-    let mut rest = total.saturating_sub(assigned);
-    for &(_, i) in &fracs {
-        if rest == 0 {
-            break;
-        }
-        alloc[i] += 1;
-        rest -= 1;
-    }
-    // One-word floor for live strata, taken from the largest allocation.
-    for i in 0..n {
-        if live[i] && alloc[i] == 0 {
-            if let Some(donor) = (0..n).filter(|&j| alloc[j] > 1).max_by_key(|&j| alloc[j]) {
-                alloc[donor] -= 1;
-                alloc[i] += 1;
-            }
-        }
-    }
-    alloc
-}
-
-/// Stratified analogue of [`converged`]: the estimated relative standard
-/// error of `Σ w_k q̂_k` against the target, gated on enough pooled
-/// failures for the check itself to be trustworthy.
-///
-/// A stratum that has never failed contributes nothing to the empirical
-/// variance, yet its rate could still hide below the detection floor —
-/// stopping must not be blind to that. Each zero-failure stratum adds an
-/// uncertainty term from the rule of three (`q ≲ 3/n` at 95%, treated as
-/// a ~`1.5/n` standard-error equivalent), so the run keeps sampling heavy
-/// strata until their undetected mass is small against the estimate.
-fn stratified_converged(strata: &[StratumOutcome], target: f64) -> bool {
-    let failures: u64 = strata.iter().map(|s| s.failures).sum();
-    if failures < MIN_FAILURES_FOR_STOP {
-        return false;
-    }
-    let mut rate = 0.0;
-    let mut var = 0.0;
-    for s in strata {
-        if s.weight <= 0.0 {
-            continue;
-        }
-        if s.trials == 0 {
-            return false;
-        }
-        let n = s.trials as f64;
-        if s.failures == 0 {
-            let u = s.weight * 1.5 / n;
-            var += u * u;
-            continue;
-        }
-        let q = s.failures as f64 / n;
-        rate += s.weight * q;
-        var += s.weight * s.weight * q * (1.0 - q) / n;
-    }
-    rate > 0.0 && var.sqrt() / rate <= target
-}
-
-/// Whether the failure-rate estimate has reached the target relative
-/// standard error: `sqrt((1-p̂)/failures) ≤ target`, once enough failures
-/// accumulated for the check itself to be trustworthy.
-fn converged(failures: u64, executed: u64, target: f64) -> bool {
-    if failures < MIN_FAILURES_FOR_STOP || executed == 0 {
-        return false;
-    }
-    let p = failures as f64 / executed as f64;
-    ((1.0 - p) / failures as f64).sqrt() <= target
-}
-
-/// What one estimation run resolved its options to: the word-loop width
-/// and the backend label it reports.
-#[derive(Debug, Clone, Copy)]
-struct Run {
-    /// Wide-word width `W ∈ {1, 2, 4}`.
-    width: usize,
-    /// [`McOutcome::backend`].
-    backend: &'static str,
 }
 
 /// Words per claim when a span is shared across threads: two passes of
@@ -2143,7 +1680,7 @@ impl FromStr for WordWidth {
 ///     .seed(2005)
 ///     .threads(4)
 ///     .backend(BackendKind::Auto)
-///     .target_rel_error(0.1);
+///     .target_rel_error(0.196);
 /// assert_eq!(opts.trials, 10_000);
 /// ```
 #[must_use = "McOptions configure a run but do not start one"]
@@ -2165,8 +1702,11 @@ pub struct McOptions {
     /// Wide-word width of the word loop (never changes results;
     /// see [`WordWidth`]).
     pub width: WordWidth,
-    /// Target relative standard error of the failure-rate estimate; when
-    /// set, estimation stops early once reached (adaptive sampling).
+    /// Target relative half-width `(high − low) / (2 · rate)` of the
+    /// pooled 95% interval; when set, estimation stops at the first
+    /// sub-round boundary where it is reached (adaptive sampling, see
+    /// [`crate::estimate`]). A relative standard error `s` corresponds to
+    /// a target of about `1.96 · s`.
     pub target_rel_error: Option<f64>,
 }
 
@@ -2238,7 +1778,8 @@ impl McOptions {
     }
 
     /// Enables adaptive early stopping at the given target relative
-    /// standard error.
+    /// half-width of the pooled 95% interval (see
+    /// [`McOptions::target_rel_error`](McOptions#structfield.target_rel_error)).
     ///
     /// # Panics
     ///
@@ -2265,7 +1806,7 @@ impl Default for McOptions {
 pub struct McOutcome {
     /// Failing trials observed. For the stratified estimator these are
     /// *conditional* failures (pooled over strata); weight them via
-    /// [`McOutcome::rate`] or the per-stratum tallies in
+    /// [`McOutcome::interval`] or the per-stratum tallies in
     /// [`McOutcome::strata`].
     pub failures: u64,
     /// Trials actually executed (less than requested after an early stop;
@@ -2306,25 +1847,6 @@ pub struct StratumOutcome {
     pub failures: u64,
     /// Conditional trials executed in the stratum.
     pub trials: u64,
-}
-
-impl McOutcome {
-    /// Point estimate of the failure rate: `failures / trials` for the
-    /// plain estimator, the exactly weighted `Σ wₖ · q̂ₖ` for the
-    /// stratified one.
-    pub fn rate(&self) -> f64 {
-        if self.strata.is_empty() {
-            if self.trials == 0 {
-                return 0.0;
-            }
-            return self.failures as f64 / self.trials as f64;
-        }
-        self.strata
-            .iter()
-            .filter(|s| s.trials > 0)
-            .map(|s| s.weight * s.failures as f64 / s.trials as f64)
-            .sum()
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -2598,7 +2120,7 @@ mod tests {
         assert!(snap.counter(Metric::StratifiedRounds) >= 1);
         assert_eq!(snap.counter(Metric::MaskedWords), out.executed_words);
         assert_eq!(snap.counter(Metric::AllocatedWords), out.executed_words);
-        assert!(snap.gauge(Gauge::ElidedMass) > 0.0);
+        assert!(snap.gauge(rft_obs::Gauge::ElidedMass) > 0.0);
         // The trace saw the estimate span plus at least one round and one
         // per-worker word-loop span.
         let events = obs.span_events();
@@ -2635,16 +2157,17 @@ mod tests {
         let c = recovery_like_circuit();
         let engine = Engine::compile(&c, &UniformNoise::new(0.3));
         let trial = Wire0Trial { n_wires: 9 };
-        // Rate ≈ 0.5: a loose 20% relative error needs only a few dozen
-        // failures, far below the 200k budget.
+        // Rate ≈ 0.5: a loose 20% relative standard error (a 39.2%
+        // relative half-width) needs only a few dozen failures, far below
+        // the 200k budget.
         let opts = McOptions::new(200_000)
             .seed(9)
             .threads(2)
-            .target_rel_error(0.2);
+            .target_rel_error(0.392);
         let out = engine.estimate(&trial, &opts);
         assert!(out.early_stopped, "should stop early: {out:?}");
         assert!(out.trials < out.requested);
-        assert!(out.failures >= MIN_FAILURES_FOR_STOP);
+        assert!(out.interval().meets(0.392));
         // Even the early-stopped result is a function of the seed alone:
         // rounds are fixed-size, so the thread count cannot move the
         // stopping point.
@@ -2660,10 +2183,45 @@ mod tests {
         let engine = Engine::compile(&c, &NoNoise);
         let trial = Wire0Trial { n_wires: 9 };
         // No failures ever: the run must exhaust its budget.
-        let out = engine.estimate(&trial, &McOptions::new(500).target_rel_error(0.1));
+        let out = engine.estimate(&trial, &McOptions::new(500).target_rel_error(0.196));
         assert!(!out.early_stopped);
         assert_eq!(out.trials, 500);
         assert_eq!(out.failures, 0);
+    }
+
+    #[test]
+    fn early_stop_is_the_first_sub_round_that_meets_the_target() {
+        // The stopped outcome meets the rule; the outcome one sub-round
+        // earlier does not. Without a target the same seed runs the same
+        // sub-rounds, so a budget cut at that boundary reproduces it.
+        let c = permutation_circuit();
+        let engine = Engine::compile(&c, &UniformNoise::new(0.02));
+        let trial = PermTrial::new(&c);
+        let target = 0.02;
+        for estimator in [Estimator::Plain, Estimator::DEFAULT_STRATIFIED] {
+            let opts = McOptions::new(1 << 24)
+                .seed(5)
+                .threads(2)
+                .estimator(estimator);
+            let out = engine.estimate(&trial, &opts.target_rel_error(target));
+            assert!(out.early_stopped, "{out:?}");
+            assert!(out.interval().meets(target), "{out:?}");
+            // Sub-rounds: 32 words each for plain; 32, 64, … for
+            // stratified.
+            let stratified = out.estimator == "stratified";
+            let (mut before, mut size) = (0u64, 32u64);
+            while before + size < out.executed_words {
+                before += size;
+                if stratified {
+                    size = (size * 2).min(8192);
+                }
+            }
+            assert_eq!(before + size, out.executed_words, "{out:?}");
+            assert!(before > 0, "stopped at the first sub-round: {out:?}");
+            let earlier = engine.estimate(&trial, &opts.trials(before * 64));
+            assert_eq!(earlier.executed_words, before);
+            assert!(!earlier.interval().meets(target), "{earlier:?}");
+        }
     }
 
     #[test]
@@ -2805,8 +2363,8 @@ mod tests {
                 .estimator(Estimator::DEFAULT_STRATIFIED),
         );
         assert_eq!(strat.estimator, "stratified");
-        let p = plain.rate();
-        let s = strat.rate();
+        let p = plain.interval().rate;
+        let s = strat.interval().rate;
         assert!(p > 0.0 && s > 0.0);
         // Combined-σ band (conservative: plain σ on both).
         let sd = (p * (1.0 - p) / trials as f64).sqrt();
@@ -2820,7 +2378,7 @@ mod tests {
         // conditional failures arrive ~1/P(any fault) times faster. Use a
         // deep rate so plain actually needs many 32-word rounds.
         let deep = Engine::compile(&c, &UniformNoise::new(0.002));
-        let target = McOptions::new(4_000_000).target_rel_error(0.1).threads(2);
+        let target = McOptions::new(4_000_000).target_rel_error(0.196).threads(2);
         let plain_t = deep.estimate(&trial, &target.seed(3).estimator(Estimator::Plain));
         let strat_t = deep.estimate(
             &trial,
@@ -2880,7 +2438,7 @@ mod tests {
         assert_eq!(out.failures, 0);
         assert_eq!(out.trials, 10_000);
         assert_eq!(out.executed_words, 0, "nothing to execute");
-        assert_eq!(out.rate(), 0.0);
+        assert_eq!(out.interval().rate, 0.0);
         // Auto reaches the same analytic shortcut.
         let auto = engine.estimate(&trial, &McOptions::new(10_000));
         assert_eq!(auto.estimator, "stratified");
@@ -2986,25 +2544,6 @@ mod tests {
         );
         let strata_sum: f64 = out.strata.iter().map(|s| s.weight).sum();
         assert!((strata_sum - out.sample_weight).abs() < 1e-12);
-    }
-
-    #[test]
-    fn apportion_words_is_proportional_and_covering() {
-        assert_eq!(apportion_words(&[3.0, 1.0], &[0.5, 0.5], 4), vec![3, 1]);
-        // One-word floor: a zero-score live stratum still gets seeded.
-        assert_eq!(apportion_words(&[1.0, 0.0], &[0.5, 0.5], 8), vec![7, 1]);
-        // Discovery with fewer words than strata: heaviest strata first.
-        assert_eq!(
-            apportion_words(&[0.0, 0.0, 0.0], &[0.1, 0.02, 0.8], 1),
-            vec![0, 0, 1]
-        );
-        // Discovery mode: no failures anywhere → uniform over live strata.
-        assert_eq!(
-            apportion_words(&[0.0, 0.0, 0.0], &[0.5, 0.0, 0.5], 5),
-            vec![3, 0, 2]
-        );
-        // Dead strata get nothing.
-        assert_eq!(apportion_words(&[1.0, 0.0], &[1.0, 0.0], 7), vec![7, 0]);
     }
 
     #[test]

@@ -26,10 +26,14 @@
 //!   ([`microop`]). Estimates take typed [`engine::McOptions`]
 //!   (`trials`/`seed`/`threads`, a [`engine::BackendKind`] label, a
 //!   word width, optional adaptive early stopping at a target relative
-//!   error, and an [`engine::Estimator`] policy whose
+//!   half-width, and an [`engine::Estimator`] policy whose
 //!   fault-count-stratified mode makes deep-sub-threshold rare-event
 //!   rates tractable by eliding fault-free words analytically); a seed
 //!   reproduces the same outcome at any width and thread count;
+//! - **the round driver ([`estimate`])** — one resumable
+//!   [`estimate::Estimation`] with one stopping rule behind both
+//!   [`engine::Engine::estimate`] and served jobs, plus the interval
+//!   math (Wilson and stratified 95% intervals);
 //! - scalar executors ([`exec`]) for ideal and per-trial noisy runs, plus
 //!   the low-level batch substrate ([`batch`]): wire-major bit planes and
 //!   kernels the engine executes on;
@@ -62,6 +66,7 @@ pub mod circuit;
 pub mod diagram;
 pub mod engine;
 mod error;
+pub mod estimate;
 pub mod exec;
 pub mod fault;
 pub mod gate;

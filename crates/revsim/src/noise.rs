@@ -15,13 +15,6 @@ use serde::{Deserialize, Serialize};
 pub trait NoiseModel {
     /// Probability that `op` fails (randomizing its support).
     fn fault_probability(&self, op: &Op) -> f64;
-
-    /// Whether every operation has the same failure probability.
-    ///
-    /// When uniform, executors may use geometric fault-skipping for speed.
-    fn uniform_rate(&self) -> Option<f64> {
-        None
-    }
 }
 
 /// Every operation — gates and initializations alike — fails with the same
@@ -65,10 +58,6 @@ impl UniformNoise {
 impl NoiseModel for UniformNoise {
     fn fault_probability(&self, _op: &Op) -> f64 {
         self.g
-    }
-
-    fn uniform_rate(&self) -> Option<f64> {
-        Some(self.g)
     }
 }
 
@@ -124,14 +113,6 @@ impl NoiseModel for SplitNoise {
             Op::Init(_) => self.init,
         }
     }
-
-    fn uniform_rate(&self) -> Option<f64> {
-        if self.gate == self.init {
-            Some(self.gate)
-        } else {
-            None
-        }
-    }
 }
 
 /// Probability that one full pass of `circuit` executes fault-free under
@@ -172,10 +153,6 @@ impl NoiseModel for NoNoise {
     fn fault_probability(&self, _op: &Op) -> f64 {
         0.0
     }
-
-    fn uniform_rate(&self) -> Option<f64> {
-        Some(0.0)
-    }
 }
 
 #[cfg(test)]
@@ -189,7 +166,6 @@ mod tests {
         let noise = UniformNoise::new(0.25);
         assert_eq!(noise.fault_probability(&Op::from(Gate::Not(w(0)))), 0.25);
         assert_eq!(noise.fault_probability(&Op::init(&[w(0)])), 0.25);
-        assert_eq!(noise.uniform_rate(), Some(0.25));
         assert_eq!(noise.rate(), 0.25);
     }
 
@@ -204,19 +180,12 @@ mod tests {
         let noise = SplitNoise::new(0.1, 0.0);
         assert_eq!(noise.fault_probability(&Op::from(Gate::Not(w(0)))), 0.1);
         assert_eq!(noise.fault_probability(&Op::init(&[w(0)])), 0.0);
-        assert_eq!(noise.uniform_rate(), None);
         assert_eq!(SplitNoise::perfect_init(0.1), noise);
-    }
-
-    #[test]
-    fn split_noise_uniform_when_equal() {
-        assert_eq!(SplitNoise::new(0.2, 0.2).uniform_rate(), Some(0.2));
     }
 
     #[test]
     fn no_noise_is_zero() {
         assert_eq!(NoNoise.fault_probability(&Op::init(&[w(0)])), 0.0);
-        assert_eq!(NoNoise.uniform_rate(), Some(0.0));
     }
 
     #[test]

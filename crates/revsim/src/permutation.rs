@@ -144,11 +144,6 @@ impl Permutation {
     pub fn rows(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
         self.map.iter().enumerate().map(|(i, &v)| (i as u64, v))
     }
-
-    /// The number of fixed points.
-    pub fn fixed_points(&self) -> usize {
-        self.rows().filter(|(i, o)| i == o).count()
-    }
 }
 
 #[cfg(test)]
@@ -223,20 +218,6 @@ mod tests {
             Permutation::from_map(1, vec![0, 2]).unwrap_err(),
             Error::NotBijective
         );
-    }
-
-    #[test]
-    fn identity_has_all_fixed_points() {
-        let id = Permutation::identity(4);
-        assert!(id.is_identity());
-        assert_eq!(id.fixed_points(), 16);
-    }
-
-    #[test]
-    fn maj_permutation_has_known_fixed_points() {
-        // Table 1: rows 000, 001, 010 map to themselves.
-        let p = Permutation::of_circuit(&maj_circuit()).unwrap();
-        assert_eq!(p.fixed_points(), 3);
     }
 
     #[test]
