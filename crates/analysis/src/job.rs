@@ -979,9 +979,9 @@ mod tests {
     }
 
     /// Final lines of three jobs whose backend reports `"scalar"`.
-    const PLAIN_SCALAR: &str = r#"{"kind":"final","schema_version":1,"record":{"schema_version":1,"spec":{"circuit":{"Concat":{"level":1,"gate":{"Toffoli":{"controls":[0,1],"target":2}},"cycles":1}},"noise":{"Uniform":{"g":0.006060606060606061}},"seed":2005,"estimator":"Plain","backend":"Scalar","width":"Auto","trials_per_round":4096,"max_rounds":2,"target_rel_half_width":null}},"result":{"rounds":2,"estimate":{"failures":0,"trials":8192,"rate":0.0,"low":0.0,"high":0.0004687082956117048},"rel_half_width":null,"converged":false,"executed_words":128,"estimator":"plain","backend":"scalar"}}"#;
-    const AUTO_BELOW_THRESHOLD: &str = r#"{"kind":"final","schema_version":1,"record":{"schema_version":1,"spec":{"circuit":{"Concat":{"level":1,"gate":{"Toffoli":{"controls":[0,1],"target":2}},"cycles":1}},"noise":{"Uniform":{"g":0.02}},"seed":2005,"estimator":"Plain","backend":"Auto","width":"Auto","trials_per_round":100,"max_rounds":3,"target_rel_half_width":null}},"result":{"rounds":3,"estimate":{"failures":0,"trials":300,"rate":0.0,"low":8.563957083229338e-19,"high":0.012642971421476657},"rel_half_width":null,"converged":false,"executed_words":6,"estimator":"plain","backend":"scalar"}}"#;
-    const STRATIFIED_SCALAR_CYCLE: &str = r#"{"kind":"final","schema_version":1,"record":{"schema_version":1,"spec":{"circuit":{"Cycle":{"gate":{"Toffoli":{"controls":[0,1],"target":2}}}},"noise":{"Uniform":{"g":0.006060606060606061}},"seed":2005,"estimator":{"Stratified":{"min_faults":1,"strata_cap":4}},"backend":"Scalar","width":"Auto","trials_per_round":1024,"max_rounds":2,"target_rel_half_width":null}},"result":{"rounds":2,"estimate":{"failures":180,"trials":2048,"rate":0.0005363520733680323,"low":0.0005363520733680323,"high":0.0016526089448472767},"rel_half_width":1.040600872920738,"converged":false,"executed_words":32,"estimator":"stratified","backend":"scalar"}}"#;
+    const PLAIN_SCALAR: &str = r#"{"kind":"final","schema_version":1,"record":{"schema_version":1,"spec":{"circuit":{"Concat":{"level":1,"gate":{"Toffoli":{"controls":[0,1],"target":2}},"cycles":1}},"noise":{"Uniform":{"g":0.006060606060606061}},"seed":2005,"estimator":"Plain","backend":"Scalar","width":"Auto","trials_per_round":4096,"max_rounds":2,"target_rel_half_width":null}},"result":{"rounds":2,"estimate":{"failures":5,"trials":8192,"rate":0.0006103515625,"low":0.00026073299237942653,"high":0.0014281062745511116},"rel_half_width":0.9563121927550444,"converged":false,"executed_words":128,"estimator":"plain","backend":"scalar"}}"#;
+    const AUTO_BELOW_THRESHOLD: &str = r#"{"kind":"final","schema_version":1,"record":{"schema_version":1,"spec":{"circuit":{"Concat":{"level":1,"gate":{"Toffoli":{"controls":[0,1],"target":2}},"cycles":1}},"noise":{"Uniform":{"g":0.02}},"seed":2005,"estimator":"Plain","backend":"Auto","width":"Auto","trials_per_round":100,"max_rounds":3,"target_rel_half_width":null}},"result":{"rounds":3,"estimate":{"failures":4,"trials":300,"rate":0.013333333333333334,"low":0.005196961703277307,"high":0.0337755304802933},"rel_half_width":1.0716963291380996,"converged":false,"executed_words":6,"estimator":"plain","backend":"scalar"}}"#;
+    const STRATIFIED_SCALAR_CYCLE: &str = r#"{"kind":"final","schema_version":1,"record":{"schema_version":1,"spec":{"circuit":{"Cycle":{"gate":{"Toffoli":{"controls":[0,1],"target":2}}}},"noise":{"Uniform":{"g":0.006060606060606061}},"seed":2005,"estimator":{"Stratified":{"min_faults":1,"strata_cap":4}},"backend":"Scalar","width":"Auto","trials_per_round":1024,"max_rounds":2,"target_rel_half_width":null}},"result":{"rounds":2,"estimate":{"failures":122,"trials":2048,"rate":0.0004522194568071834,"low":0.0004469490077607134,"high":0.0011731968437366127},"rel_half_width":0.8029816331913774,"converged":false,"executed_words":32,"estimator":"stratified","backend":"scalar"}}"#;
 
     #[test]
     fn scalar_labelled_jobs_keep_their_final_lines() {
