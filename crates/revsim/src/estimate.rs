@@ -199,11 +199,7 @@ impl Engine {
             self.n_wires(),
             "trial width must match circuit width"
         );
-        let _span = obs.span_metric("engine.estimate", Metric::EstimateNanos);
         obs.incr(Metric::EstimateCalls);
-        // Force the lazy IR lowering here so its cost is attributed to
-        // `engine.lower` instead of bleeding into the word loops.
-        self.compiled_obs(obs);
         let resolved = match opts.estimator {
             Estimator::Auto => {
                 let m = trial.min_failing_faults();
@@ -314,6 +310,9 @@ impl<T: WordTrial + ?Sized> Estimation<'_, T> {
     pub fn advance(&mut self, trials: u64, threads: usize) {
         let obs = self.obs;
         let _span = obs.span_metric("engine.estimate", Metric::EstimateNanos);
+        // Force the lazy IR lowering here so its cost is attributed to
+        // `engine.lower` instead of bleeding into the word loops.
+        self.engine.compiled_obs(obs);
         let (failures_before, trials_before) = self.pooled();
         let words_before = self.executed_words;
         let plan = self.plan.clone();

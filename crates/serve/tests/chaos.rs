@@ -24,8 +24,7 @@ use std::time::{Duration, Instant};
 /// different (but still deterministic) schedule.
 const CHAOS_SEED: u64 = 0x0DD5_EED5;
 
-/// `splitmix64` — the same generator the job runner salts rounds with,
-/// reused here so the chaos schedule is a pure function of the seed.
+/// `splitmix64`, so the chaos schedule is a pure function of the seed.
 fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = x;
