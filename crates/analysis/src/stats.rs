@@ -58,6 +58,12 @@ impl ErrorEstimate {
         }
         1.0 - (1.0 - self.rate).powf(1.0 / cycles as f64)
     }
+
+    /// Whether the interval excludes a given rate.
+    #[must_use]
+    pub fn excludes(&self, rate: f64) -> bool {
+        rate < self.low || rate > self.high
+    }
 }
 
 /// An [`Engine`](rft_revsim::engine::Engine) estimation outcome wraps
@@ -105,6 +111,8 @@ mod tests {
         let e = ErrorEstimate::from_counts(5, 1000);
         assert!((e.rate - 0.005).abs() < 1e-12);
         assert!(e.low < e.rate && e.rate < e.high);
+        assert!(e.excludes(0.5));
+        assert!(!e.excludes(0.005));
     }
 
     #[test]

@@ -693,9 +693,8 @@ mod tests {
 
     #[test]
     fn zero_failure_stratum_keeps_its_wilson_upper_bound() {
-        // The term that replaced the rule-of-three stopping floor: a
-        // sampled stratum that never failed still widens the interval by
-        // about its weight times z²/n.
+        // A sampled stratum that never failed still widens the interval
+        // by about its weight times z²/n, so the stopping rule sees it.
         let n = 10_000;
         let failing = stratified_estimate(&[stratum(0.5, 100, n)], Z95);
         let both = stratified_estimate(&[stratum(0.5, 100, n), stratum(0.5, 0, n)], Z95);
