@@ -150,7 +150,7 @@ impl Engine {
     ) -> McOutcome {
         assert!(opts.trials > 0, "need at least one trial");
         let mut est = self.estimation(trial, opts, obs);
-        let threads = opts.threads.max(1);
+        let threads = opts.threads;
         let mut early_stopped = false;
         match opts.target_rel_error {
             None => est.advance(opts.trials, threads),
