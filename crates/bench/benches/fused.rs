@@ -4,8 +4,7 @@
 //! the reproduction actually runs hot (27-op Figure-2 recovery cycle,
 //! 585-op level-2 concatenated Toffoli):
 //!
-//! - `run_*` — the **sampled** word loop (`batch_raw_exec`-equivalent,
-//!   same `g = 1/165` noise as BENCH_batch.json): `run_raw_w1` is
+//! - `run_*` — the **sampled** word loop at `g = 1/165`: `run_raw_w1` is
 //!   [`Engine::run_batch`], the lane-major schedule then the op-at-a-time
 //!   masked loop; `run_fused_w1`/`run_fused_w4` is the same schedule and
 //!   the compiled program via [`Engine::run_batch_fused`].
@@ -28,7 +27,7 @@
 //! are comparable across widths. `stratified_width` times the full
 //! stratified estimate (mask building included) at widths 1 and 4.
 
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, BenchmarkGroup, Criterion, Throughput};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use rft_analysis::prelude::*;
@@ -70,135 +69,158 @@ fn dense_schedule(n_ops: usize, width: usize, seeder: &mut SmallRng) -> Vec<u64>
     masks
 }
 
-/// Raw vs fused word execution, sampled and masked paths.
-fn fused_vs_raw(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fused_vs_raw");
-    group.sample_size(20);
-    for (name, circuit) in streams() {
-        let n = circuit.n_wires();
+/// One op stream with the engines and schedules its rows run on.
+struct Stream {
+    name: &'static str,
+    n_wires: usize,
+    /// Compiled at the sampled rows' `g = 1/165`.
+    sampled: Engine,
+    /// Compiled at the masked rows' `g = 10⁻³` (BENCH_rare_event.json).
+    masked: Engine,
+    clean: Vec<u64>,
+    sparse: Vec<u64>,
+    /// Eight stratified-like width-4 schedules (level 2 only).
+    dense: Vec<Vec<u64>>,
+}
 
-        // Sampled loop at the BENCH_batch.json noise.
-        let engine = Engine::compile(&circuit, &UniformNoise::new(1.0 / 165.0));
-        let stats = engine.compile_stats();
+impl Stream {
+    fn new(name: &'static str, circuit: Circuit) -> Stream {
+        let sampled = Engine::compile(&circuit, &UniformNoise::new(1.0 / 165.0));
         assert!(
-            stats.max_segment_len > 1,
+            sampled.compile_stats().max_segment_len > 1,
             "{name}: fusion disabled (no >1-op segments)"
         );
-        group.throughput(Throughput::Elements(64));
-        group.bench_function(format!("run_raw_w1/{name}"), |b| {
-            let mut rng = SmallRng::seed_from_u64(3);
-            let mut batch = BatchState::zeros(n, 1);
-            b.iter(|| black_box(engine.run_batch(&mut batch, &mut rng).fault_events));
-        });
-        group.bench_function(format!("run_fused_w1/{name}"), |b| {
-            let mut rngs = [SmallRng::seed_from_u64(3)];
-            let mut batch = BatchState::zeros(n, 1);
-            b.iter(|| black_box(engine.run_batch_fused(&mut batch, &mut rngs).fault_events));
-        });
-        group.throughput(Throughput::Elements(256));
-        group.bench_function(format!("run_fused_w4/{name}"), |b| {
-            let mut rngs: [SmallRng; 4] =
-                std::array::from_fn(|k| SmallRng::seed_from_u64(3 + k as u64));
-            let mut batch = BatchState::zeros(n, 4);
-            b.iter(|| {
-                black_box(
-                    engine
-                        .run_batch_fused(&mut batch, &mut rngs[..])
-                        .fault_events,
-                )
-            });
-        });
-
-        // Masked (rare-event) loop at the BENCH_rare_event.json noise.
-        let engine = Engine::compile(&circuit, &UniformNoise::new(1e-3));
         let n_ops = circuit.len();
-        let clean = vec![0u64; n_ops];
         let mut seeder = SmallRng::seed_from_u64(99);
-        let sparse: Vec<u64> = (0..n_ops)
+        let sparse = (0..n_ops)
             .map(|_| {
                 (0..64).fold(0u64, |v, _| {
                     (v << 1) | u64::from(seeder.random::<f64>() < 1e-3)
                 })
             })
             .collect();
-        for (sched, masks) in [("clean", &clean), ("sparse_g1e-3", &sparse)] {
+        let dense = if name == "level2_585_ops" {
+            (0..8)
+                .map(|_| dense_schedule(n_ops, 4, &mut seeder))
+                .collect()
+        } else {
+            Vec::new()
+        };
+        Stream {
+            name,
+            n_wires: circuit.n_wires(),
+            sampled,
+            masked: Engine::compile(&circuit, &UniformNoise::new(1e-3)),
+            clean: vec![0u64; n_ops],
+            sparse,
+            dense,
+        }
+    }
+}
+
+/// Raw vs fused word execution, sampled and masked paths.
+fn fused_vs_raw(c: &mut Criterion) {
+    let streams: Vec<Stream> = streams()
+        .into_iter()
+        .map(|(name, circuit)| Stream::new(name, circuit))
+        .collect();
+    let level2 = ConcatMc::new(2, toffoli(), 1);
+    let mut group = c.benchmark_group("fused_vs_raw");
+    for s in &streams {
+        let (name, n) = (s.name, s.n_wires);
+        group.throughput(Throughput::Elements(64));
+        group.bench_function(format!("run_raw_w1/{name}"), move |b| {
+            let mut rng = SmallRng::seed_from_u64(3);
+            let mut batch = BatchState::zeros(n, 1);
+            b.iter(|| black_box(s.sampled.run_batch(&mut batch, &mut rng).fault_events));
+        });
+        group.bench_function(format!("run_fused_w1/{name}"), move |b| {
+            let mut rngs = [SmallRng::seed_from_u64(3)];
+            let mut batch = BatchState::zeros(n, 1);
+            b.iter(|| {
+                black_box(
+                    s.sampled
+                        .run_batch_fused(&mut batch, &mut rngs)
+                        .fault_events,
+                )
+            });
+        });
+        group.throughput(Throughput::Elements(256));
+        group.bench_function(format!("run_fused_w4/{name}"), move |b| {
+            let mut rngs: [SmallRng; 4] =
+                std::array::from_fn(|k| SmallRng::seed_from_u64(3 + k as u64));
+            let mut batch = BatchState::zeros(n, 4);
+            b.iter(|| {
+                black_box(
+                    s.sampled
+                        .run_batch_fused(&mut batch, &mut rngs[..])
+                        .fault_events,
+                )
+            });
+        });
+
+        for (sched, masks) in [("clean", &s.clean), ("sparse_g1e-3", &s.sparse)] {
             group.throughput(Throughput::Elements(64));
-            group.bench_function(format!("masked_{sched}_raw_w1/{name}"), |b| {
+            group.bench_function(format!("masked_{sched}_raw_w1/{name}"), move |b| {
                 let mut rng = SmallRng::seed_from_u64(5);
                 let mut batch = BatchState::zeros(n, 1);
                 b.iter(|| {
                     black_box(
-                        engine
+                        s.masked
                             .run_batch_masked_raw(&mut batch, masks, &mut rng)
                             .fault_events,
                     )
                 });
             });
             group.throughput(Throughput::Elements(256));
-            group.bench_function(format!("masked_{sched}_fused_w4/{name}"), |b| {
+            group.bench_function(format!("masked_{sched}_fused_w4/{name}"), move |b| {
                 let mut rngs: [SmallRng; 4] =
                     std::array::from_fn(|k| SmallRng::seed_from_u64(5 + k as u64));
                 let mut batch = BatchState::zeros(n, 4);
-                let mut flat = vec![0u64; n_ops * 4];
-                for (i, &m) in masks.iter().enumerate() {
-                    flat[i * 4..(i + 1) * 4].fill(m);
-                }
+                let flat: Vec<u64> = masks.iter().flat_map(|&m| [m; 4]).collect();
                 b.iter(|| {
                     black_box(
-                        engine
+                        s.masked
                             .run_batch_masked(&mut batch, &flat, &mut rngs[..])
                             .fault_events,
                     )
                 });
             });
         }
-        if name != "level2_585_ops" {
+        if s.dense.is_empty() {
             continue;
         }
-        let schedules: Vec<Vec<u64>> = (0..8)
-            .map(|_| dense_schedule(n_ops, 4, &mut seeder))
-            .collect();
         group.throughput(Throughput::Elements(256));
-        group.bench_function(format!("masked_dense_rotating_fused_w4/{name}"), |b| {
+        group.bench_function(format!("masked_dense_rotating_fused_w4/{name}"), move |b| {
             let mut rngs: [SmallRng; 4] =
                 std::array::from_fn(|k| SmallRng::seed_from_u64(7 + k as u64));
             let mut batch = BatchState::zeros(n, 4);
             let mut next = 0;
             b.iter(|| {
-                next = (next + 1) % schedules.len();
+                next = (next + 1) % s.dense.len();
                 black_box(
-                    engine
-                        .run_batch_masked(&mut batch, &schedules[next], &mut rngs[..])
+                    s.masked
+                        .run_batch_masked(&mut batch, &s.dense[next], &mut rngs[..])
                         .fault_events,
                 )
             });
         });
     }
-    stratified_split(&mut group);
+    stratified_split(&mut group, &level2);
     group.finish();
 }
 
 /// The two non-kernel phases of a level-2 stratified word, and the fill
 /// of a plain level-2 word, timed alone.
-fn stratified_split(group: &mut criterion::BenchmarkGroup<'_>) {
-    let mc = ConcatMc::new(2, toffoli(), 1);
+fn stratified_split<'a>(group: &mut BenchmarkGroup<'a>, mc: &'a ConcatMc) {
     let plain = mc.engine(&UniformNoise::new(1e-2));
     group.throughput(Throughput::Elements(256));
-    group.bench_function("plain_schedule_only/level2", |b| {
+    group.bench_function("plain_schedule_only/level2", move |b| {
         let mut rngs: [SmallRng; 4] =
             std::array::from_fn(|k| SmallRng::seed_from_u64(17 + k as u64));
         b.iter(|| black_box(plain.schedule_plain_only(&mut rngs[..])));
     });
     let engine = mc.engine(&UniformNoise::new(1e-3));
-    group.bench_function("stratified_schedule_only/level2", |b| {
-        let mut rngs: [SmallRng; 4] =
-            std::array::from_fn(|k| SmallRng::seed_from_u64(11 + k as u64));
-        let mut stratum = 0;
-        b.iter(|| {
-            stratum = (stratum + 1) % 4;
-            black_box(engine.schedule_stratified(4, 4, stratum, &mut rngs[..]))
-        });
-    });
     // One word after a dense faulted run: every lane is a candidate, as
     // in a stratified word.
     let trial = mc.trial();
@@ -207,8 +229,17 @@ fn stratified_split(group: &mut criterion::BenchmarkGroup<'_>) {
     let inputs = trial.prepare(&mut batch, &mut rng);
     let masks = dense_schedule(engine.n_ops(), 1, &mut rng);
     engine.run_batch_masked(&mut batch, &masks, std::slice::from_mut(&mut rng));
+    group.bench_function("stratified_schedule_only/level2", move |b| {
+        let mut rngs: [SmallRng; 4] =
+            std::array::from_fn(|k| SmallRng::seed_from_u64(11 + k as u64));
+        let mut stratum = 0;
+        b.iter(|| {
+            stratum = (stratum + 1) % 4;
+            black_box(engine.schedule_stratified(4, 4, stratum, &mut rngs[..]))
+        });
+    });
     group.throughput(Throughput::Elements(64));
-    group.bench_function("stratified_judge_only/level2", |b| {
+    group.bench_function("stratified_judge_only/level2", move |b| {
         b.iter(|| black_box(trial.judge_masked(&batch, &inputs, u64::MAX)));
     });
 }
@@ -216,20 +247,18 @@ fn stratified_split(group: &mut criterion::BenchmarkGroup<'_>) {
 /// The full stratified (masked-schedule) estimate at widths 1 and 4 —
 /// the rare-event path end to end, conditional mask building included.
 fn stratified_width(c: &mut Criterion) {
-    let mut group = c.benchmark_group("stratified_width");
-    group.sample_size(10);
-    let mc = ConcatMc::new(2, toffoli(), 1);
-    let noise = UniformNoise::new(1e-3);
-    let engine = mc.engine(&noise);
+    let mc = &ConcatMc::new(2, toffoli(), 1);
+    let engine = &mc.engine(&UniformNoise::new(1e-3));
     const TRIALS: u64 = 16_384;
+    let mut group = c.benchmark_group("stratified_width");
     group.throughput(Throughput::Elements(TRIALS));
     for width in [WordWidth::W1, WordWidth::W4] {
-        group.bench_function(format!("level2_g1e-3_w{width}"), |b| {
-            let opts = McOptions::new(TRIALS)
-                .seed(1)
-                .threads(1)
-                .stratified(4, 4)
-                .width(width);
+        let opts = McOptions::new(TRIALS)
+            .seed(1)
+            .threads(1)
+            .stratified(4, 4)
+            .width(width);
+        group.bench_function(format!("level2_g1e-3_w{width}"), move |b| {
             b.iter(|| black_box(engine.estimate(&mc.trial(), &opts).failures));
         });
     }

@@ -59,31 +59,21 @@ fn measure(
 
 /// Fixed-budget timing: estimator overhead at equal trial counts.
 fn fixed_budget_timing(c: &mut Criterion, quick: bool) {
+    let mc = &ConcatMc::new(1, toffoli(), 1);
     let mut group = c.benchmark_group("rare_event_estimate");
-    group.sample_size(10);
-    let mc = ConcatMc::new(1, toffoli(), 1);
     let trials: u64 = if quick { 1 << 12 } else { 1 << 16 };
-    for &g in &[1e-2f64, 1e-3, 1e-4] {
+    for g in [1e-2f64, 1e-3, 1e-4] {
         let noise = UniformNoise::new(g);
         group.throughput(Throughput::Elements(trials));
-        group.bench_with_input(
-            BenchmarkId::new("plain", format!("g{g:.0e}")),
-            &g,
-            |b, _| {
-                let opts = McOptions::new(trials).seed(1).estimator(Estimator::Plain);
+        for (name, estimator) in [
+            ("plain", Estimator::Plain),
+            ("stratified", Estimator::DEFAULT_STRATIFIED),
+        ] {
+            let opts = McOptions::new(trials).seed(1).estimator(estimator);
+            group.bench_function(BenchmarkId::new(name, format!("g{g:.0e}")), move |b| {
                 b.iter(|| black_box(mc.estimate_outcome(&noise, &opts).failures));
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("stratified", format!("g{g:.0e}")),
-            &g,
-            |b, _| {
-                let opts = McOptions::new(trials)
-                    .seed(1)
-                    .estimator(Estimator::DEFAULT_STRATIFIED);
-                b.iter(|| black_box(mc.estimate_outcome(&noise, &opts).failures));
-            },
-        );
+            });
+        }
     }
     group.finish();
 }

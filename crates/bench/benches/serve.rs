@@ -4,30 +4,26 @@
 //! `serve_throughput/quick_job_http_roundtrip` is the daemon's headline
 //! number — connect, POST, stream, read the final line — and its
 //! checked-in BENCH_serve.json baseline documents the ≥100 req/s floor
-//! (ns_per_iter ≤ 10⁷). `serve_yardstick/offline_quick_job` runs the
+//! (ns_per_iter ≤ 10⁷). `serve_throughput/offline_quick_job` runs the
 //! identical job through [`run_job`] with no server, socket, or thread
-//! budget in the path: it is the normalization yardstick for the CI
-//! regression gate (machine-speed factor), and the gap between the two
-//! numbers *is* the serving overhead.
-//!
-//! `serve_throughput/quick_job_keepalive_roundtrip` posts the same job
-//! over one kept-alive connection. With no connect, accept or close per
-//! request, it holds only the request's own path: reading the head,
-//! running the job, writing the response.
+//! budget in the path: the gap between the two numbers *is* the serving
+//! overhead. `serve_throughput/quick_job_keepalive_roundtrip` posts the
+//! same job over one kept-alive connection. With no connect, accept or
+//! close per request, it holds only the request's own path: reading the
+//! head, running the job, writing the response.
 //!
 //! `serve_concurrent` measures per-request latency under sustained
 //! keep-alive load: N client threads each hold one connection and post
-//! jobs back to back; every request's wall-clock is recorded and the
-//! group reports p50/p99 at 10 and 100 concurrent streams. Its
-//! `p50_2_streams_mixed` row runs the daemon at its default 2 threads
-//! per job on a 2-thread budget, the setting where concurrent jobs share
-//! the budget: 2 keep-alive streams each post a fixed list that mixes
-//! multi-round level-2 jobs with one-round jobs, and the row is the p50
-//! latency over every job of every round. The vendored criterion shim has no percentile support, so this group
-//! measures by hand and emits lines in the same stdout /
-//! `CRITERION_JSON` format, which feeds the same CI regression gate.
+//! jobs back to back, and every request's wall-clock is recorded. Its
+//! rows are latency rows of the criterion shim: percentiles of the
+//! latencies pooled over every round, at 10 and 100 concurrent streams.
+//! Its `p50_2_streams_mixed` row runs the daemon at its default 2
+//! threads per job on a 2-thread budget, the setting where concurrent
+//! jobs share the budget: 2 keep-alive streams each post a fixed list
+//! that mixes multi-round level-2 jobs with one-round jobs, and the row
+//! is the p50 latency over every job of every round.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use rft_analysis::experiment::CompileCache;
 use rft_analysis::job::{run_job, CircuitSpec, JobRecord, JobSpec, NoiseSpec};
 use rft_obs::Collector;
@@ -35,10 +31,9 @@ use rft_revsim::engine::{BackendKind, Estimator, WordWidth};
 use rft_revsim::gate::Gate;
 use rft_revsim::wire::w;
 use rft_serve::{Server, ServerConfig};
-use std::hint::black_box;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::{Arc, Barrier, Mutex};
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 /// The quick job both benches run: one 4096-trial round at level 1.
@@ -132,124 +127,48 @@ fn roundtrip(addr: SocketAddr, body: &str) -> usize {
     response.len()
 }
 
-/// Interleaved measuring rounds, and the wall time each row gets per round.
-const ROUNDS: usize = 15;
-const SLICE: Duration = Duration::from_millis(10);
-
-/// Runs `routine` for one slice; returns nanoseconds per call.
-fn slice_ns(mut routine: impl FnMut()) -> f64 {
-    let start = Instant::now();
-    let mut calls = 0u32;
-    while calls == 0 || start.elapsed() < SLICE {
-        routine();
-        calls += 1;
-    }
-    start.elapsed().as_nanos() as f64 / f64::from(calls)
-}
-
 /// One round of the mixed row: each stream posts its list once, back to
-/// back and concurrently with the other; adds every job's latency (ns)
-/// to `latencies`.
-fn mixed_round(streams: &mut [KeepAlive; 2], latencies: &Mutex<Vec<u64>>) {
+/// back and concurrently with the other. Returns every job's latency (ns).
+fn mixed_round(streams: &mut [KeepAlive; 2]) -> Vec<u64> {
     std::thread::scope(|s| {
-        for conn in streams.iter_mut() {
-            s.spawn(move || {
-                for _ in 0..MIXED_JOBS {
-                    let begun = Instant::now();
-                    conn.roundtrip();
-                    let ns = begun.elapsed().as_nanos() as u64;
-                    latencies.lock().expect("latencies").push(ns);
-                }
-            });
-        }
-    });
+        let handles: Vec<_> = streams
+            .iter_mut()
+            .map(|conn| s.spawn(move || (0..MIXED_JOBS).map(|_| conn.timed()).collect::<Vec<_>>()))
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("mixed stream"))
+            .collect()
+    })
 }
 
-/// The yardstick, the `serve_throughput` rows and the mixed
-/// `serve_concurrent` row, measured by hand in interleaved rounds. Each
-/// row but the mixed one reports its fastest round. The mixed row reports
-/// the p50 over all its rounds' jobs instead: a round in which the two
-/// streams happen not to overlap reads as fast as no contention at all.
-/// On a shared machine, neighbours slow whole stretches of seconds, and a
-/// row and its yardstick measured seconds apart can fall in different
-/// stretches.
-/// The yardstick runs each slice on a fresh thread: on a VM, one vCPU can
-/// be slowed by its neighbours for a whole run, and a yardstick that
-/// stayed on the bench's main thread read the same job 2× slower in some
-/// runs than in others.
-fn serve_benches(_: &mut Criterion) {
+/// The `serve_throughput` group: the offline job and its two served
+/// forms.
+fn throughput_benches(c: &mut Criterion) {
     let cache = CompileCache::new();
     let obs = Collector::disabled();
     let record = quick_record(1);
-    let offline_job = || {
-        black_box(
+    let addr = start_server(1);
+    let body = serde_json::to_string(&quick_record(2)).expect("record JSON");
+    let mut conn = KeepAlive::open(addr, &[&body]);
+    let mut group = c.benchmark_group("serve_throughput");
+    group.throughput(Throughput::Elements(1));
+    group.bench_function("offline_quick_job", |b| {
+        b.iter(|| {
             run_job(&cache, &obs, &record, 1)
                 .expect("valid job")
                 .result
                 .estimate
-                .trials,
-        );
-    };
-    let addr = start_server(1);
-    let body = serde_json::to_string(&quick_record(2)).expect("record JSON");
-    let mixed_addr = start_server(2);
-    let mixed_bodies = [0, 1].map(|stream| {
-        (0..MIXED_JOBS)
-            .map(|slot| serde_json::to_string(&mixed_record(stream, slot)).expect("record JSON"))
-            .collect::<Vec<_>>()
+                .trials
+        });
     });
-    // Warm the compile caches so the rounds see the steady state (the
-    // first request pays the one-time compile).
-    offline_job();
-    roundtrip(addr, &body);
-    for body in mixed_bodies.iter().flatten() {
-        roundtrip(mixed_addr, body);
-    }
-    let mut conn = KeepAlive::open(addr, &[&body]);
-    let mut mixed = mixed_bodies.map(|bodies| {
-        KeepAlive::open(
-            mixed_addr,
-            &bodies.iter().map(String::as_str).collect::<Vec<_>>(),
-        )
+    group.bench_function("quick_job_http_roundtrip", |b| {
+        b.iter(|| roundtrip(addr, &body));
     });
-
-    let mut best = [f64::INFINITY; 3];
-    let mixed_latencies = Mutex::new(Vec::new());
-    for _ in 0..ROUNDS {
-        let round = [
-            std::thread::scope(|s| s.spawn(|| slice_ns(offline_job)).join())
-                .expect("yardstick slice"),
-            slice_ns(|| {
-                black_box(roundtrip(addr, &body));
-            }),
-            slice_ns(|| {
-                black_box(conn.roundtrip());
-            }),
-        ];
-        for (fastest, ns) in best.iter_mut().zip(round) {
-            *fastest = fastest.min(ns);
-        }
-        mixed_round(&mut mixed, &mixed_latencies);
-    }
-    let rows = [
-        ("serve_yardstick", "offline_quick_job"),
-        ("serve_throughput", "quick_job_http_roundtrip"),
-        ("serve_throughput", "quick_job_keepalive_roundtrip"),
-    ];
-    for ((group, bench), ns) in rows.into_iter().zip(best) {
-        report(group, bench, ns, ROUNDS);
-    }
-    let mut mixed_latencies = mixed_latencies.into_inner().expect("latencies");
-    mixed_latencies.sort_unstable();
-    let p50 = mixed_latencies[(mixed_latencies.len() - 1) / 2] as f64;
-    report(
-        "serve_concurrent",
-        "p50_2_streams_mixed",
-        p50,
-        mixed_latencies.len(),
-    );
-
-    concurrent_benches();
+    group.bench_function("quick_job_keepalive_roundtrip", move |b| {
+        b.iter(|| conn.roundtrip());
+    });
+    group.finish();
 }
 
 /// Reads one framed response off a keep-alive connection: status line,
@@ -308,6 +227,13 @@ impl KeepAlive {
         }
     }
 
+    /// [`KeepAlive::roundtrip`], returning its wall-clock nanoseconds.
+    fn timed(&mut self) -> u64 {
+        let begun = Instant::now();
+        self.roundtrip();
+        begun.elapsed().as_nanos() as u64
+    }
+
     /// Posts the next job and reads its whole response; returns the body
     /// length as the black-box value.
     fn roundtrip(&mut self) -> usize {
@@ -333,18 +259,12 @@ fn stream_latencies(
 ) -> Vec<u64> {
     let mut conn = KeepAlive::open(addr, &[&body]);
     start.wait();
-    (0..requests)
-        .map(|_| {
-            let begun = Instant::now();
-            conn.roundtrip();
-            begun.elapsed().as_nanos() as u64
-        })
-        .collect()
+    (0..requests).map(|_| conn.timed()).collect()
 }
 
-/// Runs `streams` concurrent keep-alive clients and returns the pooled
-/// per-request (p50, p99) in nanoseconds.
-fn concurrent_load(addr: SocketAddr, body: &str, streams: usize, requests: usize) -> (f64, f64) {
+/// Runs `streams` concurrent keep-alive clients and returns every
+/// request's latency (ns).
+fn concurrent_load(addr: SocketAddr, body: &str, streams: usize, requests: usize) -> Vec<u64> {
     let body = Arc::new(body.to_string());
     let start = Arc::new(Barrier::new(streams));
     let handles: Vec<_> = (0..streams)
@@ -353,42 +273,41 @@ fn concurrent_load(addr: SocketAddr, body: &str, streams: usize, requests: usize
             std::thread::spawn(move || stream_latencies(addr, body, requests, start))
         })
         .collect();
-    let mut all: Vec<u64> = handles
+    handles
         .into_iter()
         .flat_map(|h| h.join().expect("client stream"))
-        .collect();
-    all.sort_unstable();
-    let pick = |q: f64| all[((all.len() - 1) as f64 * q) as usize] as f64;
-    (pick(0.50), pick(0.99))
+        .collect()
 }
 
-/// Emits one result in the vendored criterion shim's stdout and
-/// `CRITERION_JSON` formats so the CI regression gate ingests it like
-/// any other bench.
-fn report(group: &str, bench: &str, ns: f64, samples: usize) {
-    println!(
-        "bench {:<48} {ns:>14.1} ns/iter ({samples} iters)",
-        format!("{group}/{bench}")
-    );
-    if let Ok(path) = std::env::var("CRITERION_JSON") {
-        use std::io::Write as _;
-        let line = format!("{{\"group\":\"{group}\",\"bench\":\"{bench}\",\"ns_per_iter\":{ns:.2},\"throughput_elems\":1}}\n");
-        if let Ok(mut file) = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-        {
-            let _ = file.write_all(line.as_bytes());
-        }
+/// The `serve_concurrent` group: the mixed row, then p50/p99 request
+/// latency at 10 and 100 keep-alive streams against a pool sized to hold
+/// them all (a keep-alive connection pins its worker, so `workers` must
+/// cover the stream count; job concurrency is still throttled by the
+/// shared trial-thread budget, which is what the tail latencies measure).
+fn concurrent_benches(c: &mut Criterion) {
+    let mixed_addr = start_server(2);
+    let mixed_bodies = [0, 1].map(|stream| {
+        (0..MIXED_JOBS)
+            .map(|slot| serde_json::to_string(&mixed_record(stream, slot)).expect("record JSON"))
+            .collect::<Vec<_>>()
+    });
+    // Warm the compile caches so the rounds see the steady state (the
+    // first request pays the one-time compile).
+    for body in mixed_bodies.iter().flatten() {
+        roundtrip(mixed_addr, body);
     }
-}
+    let mut mixed = mixed_bodies.map(|bodies| {
+        KeepAlive::open(
+            mixed_addr,
+            &bodies.iter().map(String::as_str).collect::<Vec<_>>(),
+        )
+    });
+    let mut group = c.benchmark_group("serve_concurrent");
+    group.throughput(Throughput::Elements(1));
+    group.bench_latencies(&[("p50_2_streams_mixed", 0.50)], move || {
+        mixed_round(&mut mixed)
+    });
 
-/// The `serve_concurrent` group: p50/p99 request latency at 10 and 100
-/// keep-alive streams against a pool sized to hold them all (a
-/// keep-alive connection pins its worker, so `workers` must cover the
-/// stream count; job concurrency is still throttled by the shared
-/// trial-thread budget, which is what the tail latencies measure).
-fn concurrent_benches() {
     let server = Server::bind(ServerConfig {
         addr: "127.0.0.1:0".into(),
         threads: 2,
@@ -403,24 +322,18 @@ fn concurrent_benches() {
     let addr = server.local_addr().expect("bound address");
     std::thread::spawn(move || server.run().expect("accept loop"));
     let body = serde_json::to_string(&quick_record(3)).expect("record JSON");
-    // Warm the compile cache so measured requests see the steady state.
     roundtrip(addr, &body);
-    for (streams, requests) in [(10, 40), (100, 10)] {
-        let (p50, p99) = concurrent_load(addr, &body, streams, requests);
-        report(
-            "serve_concurrent",
-            &format!("p50_{streams}_streams"),
-            p50,
-            streams * requests,
-        );
-        report(
-            "serve_concurrent",
-            &format!("p99_{streams}_streams"),
-            p99,
-            streams * requests,
-        );
+    for (p50, p99, streams, requests) in [
+        ("p50_10_streams", "p99_10_streams", 10, 40),
+        ("p50_100_streams", "p99_100_streams", 100, 10),
+    ] {
+        let body = body.clone();
+        group.bench_latencies(&[(p50, 0.50), (p99, 0.99)], move || {
+            concurrent_load(addr, &body, streams, requests)
+        });
     }
+    group.finish();
 }
 
-criterion_group!(benches, serve_benches);
+criterion_group!(benches, throughput_benches, concurrent_benches);
 criterion_main!(benches);

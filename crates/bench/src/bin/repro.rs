@@ -428,10 +428,12 @@ fn main() -> ExitCode {
     // One live collector feeds every observability surface; when none is
     // requested the runner gets a disabled handle and collection costs a
     // single branch per call site. Either way the Monte-Carlo results are
-    // identical — instrumentation never touches an RNG stream.
-    let watch = cli.trace_file.is_some() || cli.metrics;
+    // identical — instrumentation never touches an RNG stream. Only a
+    // trace keeps the span events.
     let opts = RunnerOptions {
-        obs: if watch {
+        obs: if cli.trace_file.is_some() {
+            Collector::tracing()
+        } else if cli.metrics {
             Collector::new()
         } else {
             Collector::disabled()

@@ -49,7 +49,7 @@ fn quick_reports_are_byte_identical_with_live_collector() {
         threads: 2,
         ..RunConfig::quick()
     };
-    let obs = Collector::new();
+    let obs = Collector::tracing();
     let opts = RunnerOptions {
         obs: obs.clone(),
         progress: false,

@@ -15,7 +15,7 @@ fn traced_quick_run(threads: usize) -> (Collector, usize) {
         threads,
         ..RunConfig::quick()
     };
-    let obs = Collector::new();
+    let obs = Collector::tracing();
     let opts = RunnerOptions {
         obs: obs.clone(),
         progress: false,

@@ -9,7 +9,8 @@
 //! * **gauges** — last-write-wins `f64`s (stored as bit patterns);
 //! * **histograms** — power-of-two-bucketed `u64` distributions;
 //! * **spans** — RAII guards timing a region on the monotonic clock,
-//!   recorded with the worker thread that ran them and exportable as
+//!   recorded with the worker thread that ran them; a collector built
+//!   by [`Collector::tracing`] keeps them, exportable as
 //!   Chrome-trace-event JSON ([`Collector::trace_json`]).
 //!
 //! Two disabling mechanisms exist, with different cost models:
@@ -121,7 +122,8 @@ mod real {
 
     struct SpanSink {
         epoch: Instant,
-        events: Mutex<Vec<SpanEvent>>,
+        /// Every closed span, kept only by a [`Collector::tracing`] root.
+        events: Option<Mutex<Vec<SpanEvent>>>,
     }
 
     struct Inner {
@@ -133,14 +135,14 @@ mod real {
     }
 
     impl Inner {
-        fn root() -> Arc<Inner> {
+        fn root(retain_events: bool) -> Arc<Inner> {
             Arc::new(Inner {
                 counters: std::array::from_fn(|_| AtomicU64::new(0)),
                 gauges: std::array::from_fn(|_| AtomicU64::new(0f64.to_bits())),
                 hists: std::array::from_fn(|_| HistCell::new()),
                 sink: Arc::new(SpanSink {
                     epoch: Instant::now(),
-                    events: Mutex::new(Vec::new()),
+                    events: retain_events.then(|| Mutex::new(Vec::new())),
                 }),
                 parent: None,
             })
@@ -207,11 +209,23 @@ mod real {
     }
 
     impl Collector {
-        /// A live collector with its own counters and span sink. The
-        /// monotonic epoch for span timestamps is `now`.
+        /// A live collector with its own counters, gauges and
+        /// histograms. A span adds its duration to its metric when it
+        /// closes, and is then dropped: the collector's memory does not
+        /// grow with the spans it sees.
         pub fn new() -> Collector {
             Collector {
-                inner: Some(Inner::root()),
+                inner: Some(Inner::root(false)),
+            }
+        }
+
+        /// A live collector that also keeps every closed span, for
+        /// [`Collector::span_events`] and [`Collector::trace_json`]. Its
+        /// memory grows with every span; the monotonic epoch for span
+        /// timestamps is `now`.
+        pub fn tracing() -> Collector {
+            Collector {
+                inner: Some(Inner::root(true)),
             }
         }
 
@@ -362,10 +376,15 @@ mod real {
             }
         }
 
-        /// All completed spans so far, unsorted.
+        /// All completed spans so far, unsorted (none unless the root
+        /// was built by [`Collector::tracing`]).
         pub fn span_events(&self) -> Vec<SpanEvent> {
-            match &self.inner {
-                Some(inner) => inner.sink.events.lock().unwrap().clone(),
+            match self
+                .inner
+                .as_ref()
+                .and_then(|inner| inner.sink.events.as_ref())
+            {
+                Some(events) => events.lock().unwrap().clone(),
                 None => Vec::new(),
             }
         }
@@ -460,20 +479,19 @@ mod real {
                 return;
             };
             let dur_ns = owner.start.elapsed().as_nanos() as u64;
-            let ts_ns = owner
-                .start
-                .duration_since(owner.inner.sink.epoch)
-                .as_nanos() as u64;
             if let Some(m) = owner.metric {
                 owner.inner.add(m, dur_ns);
             }
-            owner.inner.sink.events.lock().unwrap().push(SpanEvent {
-                name: owner.name,
-                label: owner.label,
-                ts_ns,
-                dur_ns,
-                tid: current_tid(),
-            });
+            let sink = &owner.inner.sink;
+            if let Some(events) = &sink.events {
+                events.lock().unwrap().push(SpanEvent {
+                    name: owner.name,
+                    label: owner.label,
+                    ts_ns: owner.start.duration_since(sink.epoch).as_nanos() as u64,
+                    dur_ns,
+                    tid: current_tid(),
+                });
+            }
         }
     }
 
@@ -671,6 +689,12 @@ mod noop {
         /// No-op constructor.
         #[inline(always)]
         pub fn new() -> Collector {
+            Collector
+        }
+
+        /// No-op constructor (same as [`Collector::new`] here).
+        #[inline(always)]
+        pub fn tracing() -> Collector {
             Collector
         }
 
@@ -936,7 +960,7 @@ mod tests {
 
     #[test]
     fn spans_record_name_label_tid_and_metric() {
-        let c = Collector::new();
+        let c = Collector::tracing();
         {
             let _outer = c.span_metric("outer", Metric::EstimateNanos);
             let _inner = c.labeled_span("inner", || "exp-\"x\"".to_string());
@@ -956,8 +980,26 @@ mod tests {
     }
 
     #[test]
-    fn trace_json_is_well_formed_and_escaped() {
+    fn a_collector_that_keeps_no_events_still_records_span_metrics() {
         let c = Collector::new();
+        let child = c.child();
+        {
+            let _s = child.labeled_span_metric("job", Metric::EstimateNanos, || "j".into());
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        assert!(c.get(Metric::EstimateNanos) >= 1_000_000);
+        assert_eq!(
+            child.get(Metric::EstimateNanos),
+            c.get(Metric::EstimateNanos)
+        );
+        assert!(c.span_events().is_empty());
+        assert!(child.span_events().is_empty());
+        assert_eq!(c.trace_json(), "{\"traceEvents\":[]}");
+    }
+
+    #[test]
+    fn trace_json_is_well_formed_and_escaped() {
+        let c = Collector::tracing();
         {
             let _s = c.labeled_span("phase", || "a\\b\"c\nd".to_string());
         }

@@ -2113,7 +2113,7 @@ mod tests {
         }
         // Stratified bookkeeping: rounds ran, every executed word was
         // masked, and the elided mass gauge reflects the plan.
-        let obs = Collector::new();
+        let obs = Collector::tracing();
         let out = engine.estimate_obs(&trial, &strat, &obs);
         let snap = obs.snapshot();
         assert_eq!(snap.counter(Metric::StratifiedRuns), 1);

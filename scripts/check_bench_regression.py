@@ -3,29 +3,30 @@
 
 Usage:
     check_bench_regression.py BASELINE.json FRESH.json \
-        --group engine_estimate [--group fused_vs_raw ...] \
-        [--max-ratio 1.25] [--normalize-group engine_compile] \
+        --group engine_estimate [--group fused_vs_raw ...] [--max-ratio 1.25] \
         [--pair obs_overhead:enabled_4k_trials:disabled_4k_trials:1.02 ...]
 
 Both files are JSON-lines as written by the vendored criterion shim's
-``CRITERION_JSON`` hook: one object per line with at least ``group``,
-``bench`` and ``ns_per_iter`` fields (lines without these — e.g. the
-rare-event summary lines — are ignored).
+``CRITERION_JSON`` hook: one object per line with ``group``, ``bench``,
+``ns_per_iter`` and ``yardstick_ns`` fields (lines without a group, bench
+and ``ns_per_iter`` — e.g. the rare-event summary lines — are ignored).
 
-Raw nanoseconds are not comparable across machines, so when
-``--normalize-group`` is given the script first estimates the machine
-speed factor as the **median** fresh/baseline ratio over that group's
-benches (compile-only benches make a good yardstick: tiny, allocation
-light, insensitive to the changes under test). Each gated bench's ratio
-is divided by that factor before comparison, so "25% regression" means
-25% relative to what this machine would have scored on the baseline
-commit.
+Raw nanoseconds are not comparable across machines or across a busy and
+an idle stretch of one machine. The shim measures each group in
+interleaved rounds together with a fixed yardstick loop and records the
+yardstick's time from the same rounds on every line. Each gated row's
+fresh/baseline ratio is divided by that row's own yardstick ratio
+(``fresh.yardstick_ns / baseline.yardstick_ns``), so "25% regression"
+means 25% relative to what this machine, in those rounds, would have
+scored on the baseline commit. A gated row without ``yardstick_ns`` on
+either side is an error, as is a gated baseline row missing from the
+fresh file: the gate fails closed.
 
 ``--pair GROUP:NUMERATOR:DENOMINATOR:MAX_RATIO`` gates a ratio taken
 **within the fresh file alone** — two benches of the same group measured
-back-to-back on the same machine, so no baseline or normalization is
-involved. This is how the ≤2% instrumentation-overhead invariant is
-enforced: ``obs_overhead/enabled_4k_trials`` may cost at most 1.02× of
+in the same rounds, so no baseline or normalization is involved. This is
+how the ≤2% instrumentation-overhead invariant is enforced:
+``obs_overhead/enabled_4k_trials`` may cost at most 1.02× of
 ``obs_overhead/disabled_4k_trials``. Repeatable; may be combined with
 ``--group`` gating or used on its own.
 
@@ -36,12 +37,11 @@ from the last line of a CI log alone.
 
 import argparse
 import json
-import statistics
 import sys
 
 
 def load(path):
-    """Parse a JSON-lines bench file into {(group, bench): ns_per_iter}."""
+    """Parse a JSON-lines bench file into {(group, bench): record}."""
     out = {}
     try:
         with open(path, encoding="utf-8") as f:
@@ -55,10 +55,11 @@ def load(path):
                     continue
                 group = obj.get("group")
                 bench = obj.get("bench")
-                ns = obj.get("ns_per_iter")
-                if group is None or bench is None or not isinstance(ns, (int, float)):
+                if group is None or bench is None:
                     continue
-                out[(group, bench)] = float(ns)
+                if not isinstance(obj.get("ns_per_iter"), (int, float)):
+                    continue
+                out[(group, bench)] = obj
     except OSError as e:
         sys.exit(f"error: cannot read {path}: {e}")
     return out
@@ -88,37 +89,12 @@ def main():
         default=1.25,
         help="fail if normalized fresh/baseline exceeds this (default 1.25)",
     )
-    ap.add_argument(
-        "--normalize-group",
-        default=None,
-        help="group whose median fresh/baseline ratio estimates machine speed",
-    )
     args = ap.parse_args()
     if not args.group and not args.pair:
         ap.error("nothing to gate: pass --group and/or --pair")
 
     baseline = load(args.baseline)
     fresh = load(args.fresh)
-
-    factor = 1.0
-    if args.normalize_group:
-        ratios = [
-            fresh[k] / baseline[k]
-            for k in baseline
-            if k[0] == args.normalize_group and k in fresh and baseline[k] > 0
-        ]
-        if ratios:
-            factor = statistics.median(ratios)
-            print(
-                f"machine speed factor from {args.normalize_group!r}: "
-                f"{factor:.3f} (median of {len(ratios)} benches)"
-            )
-        else:
-            print(
-                f"warning: no common benches in normalize group "
-                f"{args.normalize_group!r}; comparing raw nanoseconds",
-                file=sys.stderr,
-            )
 
     # Each failure is recorded as a full sentence so the final exit
     # message — often the only line a CI summary shows — names the
@@ -130,21 +106,31 @@ def main():
             sys.exit(f"error: baseline has no benches in group {group!r}")
 
     for key in sorted(gated):
+        name = f"{key[0]}/{key[1]}"
         if key not in fresh:
-            print(f"warning: {key[0]}/{key[1]} missing from fresh run", file=sys.stderr)
+            print(f"FAIL {name}: missing from the fresh run")
+            failures.append(f"{name} missing from the fresh run")
             continue
-        ratio = fresh[key] / baseline[key] / factor
+        base, cur = baseline[key], fresh[key]
+        yardsticks = (base.get("yardstick_ns"), cur.get("yardstick_ns"))
+        if not all(isinstance(y, (int, float)) and y > 0 for y in yardsticks):
+            print(f"FAIL {name}: no yardstick_ns (baseline {yardsticks[0]}, fresh {yardsticks[1]})")
+            failures.append(f"{name} has no yardstick_ns to normalize by")
+            continue
+        factor = yardsticks[1] / yardsticks[0]
+        base_ns, cur_ns = base["ns_per_iter"], cur["ns_per_iter"]
+        ratio = cur_ns / base_ns / factor
         delta_pct = (ratio - 1.0) * 100.0
         status = "OK " if ratio <= args.max_ratio else "FAIL"
         print(
-            f"{status} {key[0]}/{key[1]}: baseline {baseline[key]:.1f} ns, "
-            f"current {fresh[key]:.1f} ns, normalized ratio {ratio:.3f} "
+            f"{status} {name}: baseline {base_ns:.1f} ns, current {cur_ns:.1f} ns, "
+            f"yardstick factor {factor:.3f}, normalized ratio {ratio:.3f} "
             f"({delta_pct:+.1f}%, limit {args.max_ratio})"
         )
         if ratio > args.max_ratio:
             failures.append(
-                f"{key[0]}/{key[1]} baseline {baseline[key]:.1f} ns -> "
-                f"current {fresh[key]:.1f} ns ({delta_pct:+.1f}%, "
+                f"{name} baseline {base_ns:.1f} ns -> current {cur_ns:.1f} ns "
+                f"({delta_pct:+.1f}% normalized, "
                 f"limit {(args.max_ratio - 1.0) * 100.0:+.1f}%)"
             )
 
@@ -163,10 +149,10 @@ def main():
                 f"error: fresh run has no bench "
                 f"{', '.join(f'{group}/{b}' for b in missing)} (needed by --pair)"
             )
-        den_ns = fresh[(group, den)]
+        den_ns = fresh[(group, den)]["ns_per_iter"]
         if den_ns <= 0:
             sys.exit(f"error: {group}/{den} measured {den_ns} ns; cannot form a ratio")
-        num_ns = fresh[(group, num)]
+        num_ns = fresh[(group, num)]["ns_per_iter"]
         ratio = num_ns / den_ns
         delta_pct = (ratio - 1.0) * 100.0
         status = "OK " if ratio <= limit else "FAIL"
