@@ -268,7 +268,7 @@ pub(crate) struct FaultTable {
     /// Fault probability per rate group (one per distinct nonzero rate).
     group_rates: Vec<f64>,
     /// `Π (1 − p_i)`: probability that one trial executes fault-free.
-    p_fault_free: f64,
+    pub(crate) p_fault_free: f64,
 }
 
 impl FaultTable {
@@ -306,6 +306,15 @@ impl FaultTable {
             group_rates,
             p_fault_free,
         }
+    }
+
+    /// Approximate heap footprint (see [`Engine::approx_bytes`]).
+    pub(crate) fn approx_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.probs.len() * size_of::<f64>()
+            + self.group_of.len() * size_of::<usize>()
+            + self.arity.len()
+            + self.group_rates.len() * size_of::<f64>()
     }
 }
 
@@ -348,7 +357,7 @@ struct FaultGroup {
 
 /// `Binomial(n, p)` PMF by the stable multiplicative recurrence, truncated
 /// once the accumulated mass reaches `1 − PMF_TAIL_EPS / 4`.
-fn binomial_pmf(n: usize, p: f64) -> Vec<f64> {
+pub(crate) fn binomial_pmf(n: usize, p: f64) -> Vec<f64> {
     if p >= 1.0 {
         let mut pmf = vec![0.0; n + 1];
         pmf[n] = 1.0;
@@ -396,7 +405,7 @@ fn convolve_pmf(a: &[f64], b: &[f64]) -> Vec<f64> {
 
 impl FaultCountDist {
     /// Approximate heap footprint (size input of cache eviction).
-    fn approx_bytes(&self) -> usize {
+    pub(crate) fn approx_bytes(&self) -> usize {
         use std::mem::size_of;
         let groups: usize = self
             .groups
@@ -415,7 +424,7 @@ impl FaultCountDist {
         size_of::<FaultCountDist>() + groups + suffix
     }
 
-    fn build(table: &FaultTable) -> Self {
+    pub(crate) fn build(table: &FaultTable) -> Self {
         let mut groups: Vec<FaultGroup> = table
             .group_rates
             .iter()
@@ -555,13 +564,13 @@ impl FaultCountDist {
 /// The law of one lane's fault count conditioned on `K ≥ lo`: a CDF over
 /// `lo..=max_k` whose top bin absorbs the truncated tail mass.
 #[derive(Debug)]
-struct CountCdf {
+pub(crate) struct CountCdf {
     lo: usize,
     cdf: Vec<f64>,
 }
 
 impl CountCdf {
-    fn at_least(dist: &FaultCountDist, lo: usize) -> Self {
+    pub(crate) fn at_least(dist: &FaultCountDist, lo: usize) -> Self {
         let mut acc = 0.0;
         let mut cdf: Vec<f64> = (lo..=dist.max_k().max(lo))
             .map(|k| {
@@ -593,7 +602,7 @@ impl CountCdf {
 /// then holds `K | K ≥ 1` faults placed by the exact conditional law —
 /// the per-op Bernoulli law, up to the PMF's truncation.
 #[derive(Debug)]
-struct PlainPlan {
+pub(crate) struct PlainPlan {
     /// Lanes with any fault.
     lanes: MaskSampler,
     /// A faulted lane's fault count.
@@ -601,9 +610,24 @@ struct PlainPlan {
 }
 
 impl PlainPlan {
+    /// The plain law of `dist`.
+    pub(crate) fn new(dist: &FaultCountDist) -> Self {
+        PlainPlan {
+            lanes: MaskSampler::new(dist.mass_at_least(1)),
+            counts: CountCdf::at_least(dist, 1),
+        }
+    }
+
+    /// Approximate heap footprint (see [`Engine::approx_bytes`]).
+    pub(crate) fn approx_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let cdfs = self.lanes.cdf.len() + self.counts.cdf.len();
+        size_of::<PlainPlan>() + cdfs * size_of::<f64>()
+    }
+
     /// Phase 1's placement for plain word `w` (see
     /// [`FaultCountDist::place_lanes`]).
-    fn place(
+    pub(crate) fn place(
         &self,
         dist: &FaultCountDist,
         w: usize,
@@ -852,16 +876,12 @@ impl Engine {
         use std::mem::size_of;
         let mut bytes = size_of::<Engine>();
         bytes += std::mem::size_of_val::<[Op]>(self.circuit.ops());
-        bytes += self.table.probs.len() * size_of::<f64>();
-        bytes += self.table.group_of.len() * size_of::<usize>();
-        bytes += self.table.arity.len();
-        bytes += self.table.group_rates.len() * size_of::<f64>();
+        bytes += self.table.approx_bytes();
         if let Some(dist) = self.dist.get() {
             bytes += dist.approx_bytes();
         }
         if let Some(plan) = self.plain.get() {
-            let cdfs = plan.lanes.cdf.len() + plan.counts.cdf.len();
-            bytes += size_of::<PlainPlan>() + cdfs * size_of::<f64>();
+            bytes += plan.approx_bytes();
         }
         if let Ok(plans) = self.plans.lock() {
             bytes += plans.iter().map(|p| p.approx_bytes()).sum::<usize>();
@@ -910,13 +930,7 @@ impl Engine {
 
     /// The memoized plain schedule law (see [`PlainPlan`]).
     fn plain_plan(&self) -> &PlainPlan {
-        self.plain.get_or_init(|| {
-            let dist = self.fault_dist();
-            PlainPlan {
-                lanes: MaskSampler::new(dist.mass_at_least(1)),
-                counts: CountCdf::at_least(dist, 1),
-            }
-        })
+        self.plain.get_or_init(|| PlainPlan::new(self.fault_dist()))
     }
 
     /// The PMF of the per-trial fault count `K` — a Poisson binomial over
@@ -1310,8 +1324,8 @@ impl Engine {
 /// A memoized stratified-estimator layout (see [`Engine::strata_plan`]).
 #[derive(Debug)]
 pub(crate) struct StrataPlan {
-    min_faults: u32,
-    strata_cap: u32,
+    pub(crate) min_faults: u32,
+    pub(crate) strata_cap: u32,
     /// Zero-tally stratum template with exact weights.
     pub(crate) strata: Vec<StratumOutcome>,
     /// Total executable probability mass.
@@ -1319,7 +1333,7 @@ pub(crate) struct StrataPlan {
     /// Every stratum weight is zero — the run resolves analytically.
     pub(crate) all_elided: bool,
     /// The tail stratum's fault count.
-    tail: CountCdf,
+    pub(crate) tail: CountCdf,
 }
 
 impl StrataPlan {
@@ -1327,7 +1341,7 @@ impl StrataPlan {
     /// holds the stratum's fault count — fixed for an explicit stratum,
     /// off the conditional CDF in the tail (see
     /// [`FaultCountDist::place_lanes`]).
-    fn place(
+    pub(crate) fn place(
         &self,
         dist: &FaultCountDist,
         si: usize,
@@ -1343,7 +1357,7 @@ impl StrataPlan {
     }
 
     /// Approximate heap footprint (see [`Engine::approx_bytes`]).
-    fn approx_bytes(&self) -> usize {
+    pub(crate) fn approx_bytes(&self) -> usize {
         use std::mem::size_of;
         size_of::<StrataPlan>()
             + self.strata.len() * size_of::<StratumOutcome>()
