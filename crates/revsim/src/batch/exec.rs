@@ -9,8 +9,10 @@
 //! [`crate::engine`] — compile an [`Engine`](crate::engine::Engine) and
 //! call [`Engine::run_batch`](crate::engine::Engine::run_batch).
 
-use super::BatchState;
+use super::{kernels, BatchState};
 use crate::circuit::Circuit;
+use crate::schedule::fill_fault_planes;
+use rand::rngs::SmallRng;
 
 /// What happened during one noisy batch run (sampled faults via
 /// [`Engine::run_batch`](crate::engine::Engine::run_batch) or a
@@ -55,6 +57,49 @@ pub fn run_ideal_batch(circuit: &Circuit, batch: &mut BatchState) {
     }
 }
 
+/// Executes one 64-lane word under a **precomputed** per-op fault-mask
+/// schedule, op at a time — the reference behind
+/// [`Engine::run_batch_masked_raw`]. Fault planes are drawn from `rng` in
+/// op order via [`fill_fault_planes`], as the compiled masked loop does.
+pub(crate) fn run_masked_word_batch(
+    circuit: &Circuit,
+    batch: &mut BatchState,
+    masks: &[u64],
+    rng: &mut SmallRng,
+) -> BatchExecReport {
+    assert_eq!(
+        batch.words_per_wire(),
+        1,
+        "masked execution drives single-word batches"
+    );
+    assert_eq!(
+        batch.n_wires(),
+        circuit.n_wires(),
+        "batch width must match circuit width"
+    );
+    assert_eq!(
+        masks.len(),
+        circuit.len(),
+        "mask schedule does not match this circuit"
+    );
+    let mut report = BatchExecReport {
+        fault_events: 0,
+        faulted_lanes: vec![0; 1],
+    };
+    for (op, &fault) in circuit.ops().iter().zip(masks) {
+        if fault == 0 {
+            kernels::apply_word(batch, op, 0);
+            continue;
+        }
+        let mut rand_planes = [0u64; 4];
+        fill_fault_planes(op.arity(), fault, rng, &mut rand_planes);
+        kernels::apply_word_masked(batch, op, 0, fault, &rand_planes);
+        report.fault_events += fault.count_ones() as u64;
+        report.faulted_lanes[0] |= fault;
+    }
+    report
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -62,8 +107,7 @@ mod tests {
     use crate::noise::UniformNoise;
     use crate::state::BitState;
     use crate::wire::w;
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn recovery_like_circuit() -> Circuit {
         let mut c = Circuit::new(9);
@@ -136,5 +180,28 @@ mod tests {
         let c = Circuit::new(3);
         let mut batch = BatchState::zeros(4, 1);
         run_ideal_batch(&c, &mut batch);
+    }
+
+    #[test]
+    fn fused_masked_run_matches_raw_masked_reference() {
+        // The compiled masked loop must match the op-at-a-time raw
+        // reference bit for bit.
+        let c = recovery_like_circuit();
+        let engine = Engine::compile(&c, &UniformNoise::new(0.05));
+        for seed in 0..10u64 {
+            let mut masks = vec![0u64; c.len()];
+            let mut seeder = SmallRng::seed_from_u64(seed.wrapping_mul(31));
+            for m in masks.iter_mut() {
+                *m = seeder.random::<u64>() & seeder.random::<u64>() & seeder.random::<u64>();
+            }
+            let mut raw = BatchState::zeros(9, 1);
+            let mut fused = BatchState::zeros(9, 1);
+            let mut rng_r = SmallRng::seed_from_u64(seed);
+            let mut rng_f = SmallRng::seed_from_u64(seed);
+            let rr = run_masked_word_batch(&c, &mut raw, &masks, &mut rng_r);
+            let rf = engine.run_batch_masked(&mut fused, &masks, std::slice::from_mut(&mut rng_f));
+            assert_eq!(rr, rf, "seed {seed}: reports differ");
+            assert_eq!(raw, fused, "seed {seed}: states differ");
+        }
     }
 }

@@ -27,9 +27,9 @@
 //! job round at a time and applies the same rule at round boundaries.
 
 use crate::engine::{
-    Engine, Estimator, McOptions, McOutcome, StrataPlan, StratumOutcome, WordExtras, WordTrial,
-    Words,
+    Engine, Estimator, McOptions, McOutcome, StratumOutcome, WordExtras, WordTrial, Words,
 };
+use crate::schedule::StrataPlan;
 use rft_obs::{Collector, Gauge, Hist, Metric};
 use std::sync::Arc;
 

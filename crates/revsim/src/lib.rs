@@ -75,6 +75,7 @@ pub mod microop;
 pub mod noise;
 pub mod op;
 pub mod permutation;
+mod schedule;
 pub mod state;
 pub mod wire;
 

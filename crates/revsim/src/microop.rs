@@ -101,9 +101,9 @@
 
 use crate::batch::{kernels, BatchExecReport, BatchState};
 use crate::circuit::Circuit;
-use crate::engine::{fill_fault_planes, FaultTable};
 use crate::gate::Gate;
 use crate::op::Op;
+use crate::schedule::{fill_fault_planes, FaultTable};
 use crate::wire::{Support, Wire};
 use rand::rngs::SmallRng;
 
