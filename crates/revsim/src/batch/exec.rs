@@ -1,13 +1,19 @@
-//! Batch executors: ideal bit-parallel runs and the [`BatchExecReport`]
-//! shared with the engine's noisy word loops.
+//! The op-at-a-time reference executors on bit planes, and the
+//! [`BatchExecReport`] they share with the engine's word loop.
+//!
+//! [`run_ideal_batch`] runs a circuit without noise. The masked word loop
+//! runs one 64-lane word under a precomputed fault-mask schedule; it is
+//! what [`Engine::run_batch`](crate::engine::Engine::run_batch) and
+//! [`Engine::run_batch_masked_raw`](crate::engine::Engine::run_batch_masked_raw)
+//! execute. No estimate runs on either: production runs the compiled
+//! micro-op word loop ([`crate::microop`]), which tests and the
+//! `fused_vs_raw` bench check against these loops.
 //!
 //! Fault semantics match the scalar executors lane-for-lane: every
 //! operation fails independently with its
 //! [`NoiseModel`](crate::noise::NoiseModel) probability in each lane; a
 //! failing operation skips execution and replaces its support bits with
-//! independent uniform random bits. The noisy implementation lives in
-//! [`crate::engine`] — compile an [`Engine`](crate::engine::Engine) and
-//! call [`Engine::run_batch`](crate::engine::Engine::run_batch).
+//! independent uniform random bits.
 
 use super::{kernels, BatchState};
 use crate::circuit::Circuit;
@@ -28,15 +34,6 @@ pub struct BatchExecReport {
     pub fault_events: u64,
     /// Per plane word: mask of lanes that experienced at least one fault.
     pub faulted_lanes: Vec<u64>,
-}
-
-impl BatchExecReport {
-    /// Lanes (within plane word `word`) that executed the entire circuit
-    /// fault-free.
-    #[must_use]
-    pub fn clean_lanes(&self, word: usize) -> u64 {
-        !self.faulted_lanes[word]
-    }
 }
 
 /// Runs `circuit` on every lane of `batch` without noise.
@@ -147,7 +144,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(3);
         let engine = Engine::compile(&c, &UniformNoise::new(0.05));
         let report = engine.run_batch(&mut noisy, &mut rng);
-        let clean = report.clean_lanes(0);
+        let clean = !report.faulted_lanes[0];
         assert_ne!(clean, 0, "some lane should be fault-free at g=0.05");
         for lane in 0..64 {
             if (clean >> lane) & 1 == 1 {

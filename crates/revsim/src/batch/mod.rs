@@ -198,15 +198,6 @@ impl BatchState {
         }
     }
 
-    /// Extracts the first `count` lanes as scalar states.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `count` exceeds [`BatchState::lanes`].
-    pub fn to_states(&self, count: usize) -> Vec<BitState> {
-        (0..count).map(|l| self.lane(l)).collect()
-    }
-
     /// Sets every plane to zero.
     pub fn clear(&mut self) {
         self.planes.fill(0);
@@ -346,8 +337,6 @@ mod tests {
         }
         // Unfilled lanes are zero.
         assert_eq!(b.lane(63).count_ones(), 0);
-        let back = b.to_states(10);
-        assert_eq!(back, states);
     }
 
     #[test]

@@ -205,22 +205,6 @@ impl Circuit {
         self.push(Op::init(wires))
     }
 
-    /// Appends all operations of `other` (same width).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::WidthMismatch`] if widths differ.
-    pub fn try_extend_from(&mut self, other: &Circuit) -> Result<()> {
-        if other.n_wires != self.n_wires {
-            return Err(Error::WidthMismatch {
-                expected: self.n_wires,
-                found: other.n_wires,
-            });
-        }
-        self.ops.extend_from_slice(&other.ops);
-        Ok(())
-    }
-
     /// Appends all operations of `other`, remapping wire `i` of `other` to
     /// `map[i]` of `self`.
     ///
@@ -314,14 +298,6 @@ impl Circuit {
         self.ops
             .iter()
             .filter(|op| op.support().contains(wire))
-            .count()
-    }
-
-    /// Number of operations touching *any* of `wires`.
-    pub fn ops_touching_any(&self, wires: &[Wire]) -> usize {
-        self.ops
-            .iter()
-            .filter(|op| op.support().as_slice().iter().any(|w| wires.contains(w)))
             .count()
     }
 
@@ -536,7 +512,6 @@ mod tests {
         assert_eq!(c.ops_touching(w(1)), 2);
         assert_eq!(c.ops_touching(w(2)), 2);
         assert_eq!(c.ops_touching(w(3)), 1);
-        assert_eq!(c.ops_touching_any(&[w(0), w(3)]), 3);
     }
 
     #[test]
@@ -563,22 +538,6 @@ mod tests {
         s.set(w(8), true);
         outer.run(&mut s);
         assert!(s.get(w(7)), "majority of (1,1,0) lands on mapped q0");
-    }
-
-    #[test]
-    fn try_extend_from_checks_width() {
-        let mut a = Circuit::new(3);
-        let b = Circuit::new(4);
-        assert_eq!(
-            a.try_extend_from(&b).unwrap_err(),
-            Error::WidthMismatch {
-                expected: 3,
-                found: 4
-            }
-        );
-        let c = maj_decomposition();
-        a.try_extend_from(&c).unwrap();
-        assert_eq!(a.len(), 3);
     }
 
     #[test]

@@ -19,8 +19,11 @@
 //!   threaded and deterministically seeded.
 //!
 //! The estimators' round loop, its stopping rule and the interval math
-//! live in [`crate::estimate`]; this module compiles, schedules faults
-//! and runs words.
+//! live in [`crate::estimate`]; this module compiles and runs words. The
+//! fault-sampling law each word draws (fault table, fault-count
+//! distribution, plain and stratified schedule plans) is the crate-private
+//! `schedule` module, and the op-at-a-time reference loops are in
+//! [`crate::batch::exec`].
 //!
 //! Deterministic fault injection for the exhaustive proofs is
 //! [`FaultPlan::run`](crate::fault::FaultPlan::run).
@@ -1411,7 +1414,7 @@ mod tests {
         let mut s = BitState::zeros(9);
         let mut rng = SmallRng::seed_from_u64(0);
         let report = engine.run_scalar(&mut s, &mut rng);
-        assert_eq!(report.fault_count(), 0);
+        assert_eq!(report.faults.len(), 0);
         assert_eq!(s.count_ones(), 0);
     }
 
@@ -1422,7 +1425,7 @@ mod tests {
         let mut s = BitState::zeros(9);
         let mut rng = SmallRng::seed_from_u64(1);
         let report = engine.run_scalar(&mut s, &mut rng);
-        assert_eq!(report.fault_count(), c.len());
+        assert_eq!(report.faults.len(), c.len());
     }
 
     #[test]
@@ -1433,7 +1436,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(2);
         let report = engine.run_scalar(&mut s, &mut rng);
         // 6 gates fail, 2 inits never fail.
-        assert_eq!(report.fault_count(), 6);
+        assert_eq!(report.faults.len(), 6);
         assert!(report.faults.iter().all(|&i| i >= 2));
         assert_eq!(engine.fault_probability(0), 0.0);
         assert_eq!(engine.fault_probability(2), 1.0);

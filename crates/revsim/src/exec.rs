@@ -1,5 +1,5 @@
-//! Scalar circuit executors: the ideal run and the per-trial noisy
-//! run's report.
+//! The report of a per-trial noisy run. The ideal scalar run is
+//! [`Circuit::run`](crate::circuit::Circuit::run).
 //!
 //! Fault semantics follow the paper exactly: a failing operation does not
 //! execute; instead every bit in its support is replaced by an independent
@@ -16,9 +16,6 @@
 //! [`Engine`]: crate::engine::Engine
 //! [`Engine::run_scalar`]: crate::engine::Engine::run_scalar
 
-use crate::circuit::Circuit;
-use crate::state::BitState;
-
 /// What happened during one noisy run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ExecReport {
@@ -26,27 +23,12 @@ pub struct ExecReport {
     pub faults: Vec<usize>,
 }
 
-impl ExecReport {
-    /// Number of faults that occurred.
-    pub fn fault_count(&self) -> usize {
-        self.faults.len()
-    }
-}
-
-/// Runs `circuit` on `state` without noise.
-///
-/// # Panics
-///
-/// Panics if the state width does not match the circuit width.
-pub fn run_ideal(circuit: &Circuit, state: &mut BitState) {
-    circuit.run(state);
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::circuit::Circuit;
     use crate::engine::Engine;
     use crate::noise::{NoNoise, UniformNoise};
+    use crate::state::BitState;
     use crate::wire::w;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;

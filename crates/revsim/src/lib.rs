@@ -34,9 +34,9 @@
 //!   [`estimate::Estimation`] with one stopping rule behind both
 //!   [`engine::Engine::estimate`] and served jobs, plus the interval
 //!   math (Wilson and stratified 95% intervals);
-//! - scalar executors ([`exec`]) for ideal and per-trial noisy runs, plus
-//!   the low-level batch substrate ([`batch`]): wire-major bit planes and
-//!   kernels the engine executes on;
+//! - the per-trial noisy run's report ([`exec`]), plus the low-level
+//!   batch substrate ([`batch`]): wire-major bit planes, the kernels the
+//!   engine executes on, and the op-at-a-time reference executors;
 //! - exhaustive fault enumeration and planned-fault runs ([`fault`]) used
 //!   to *prove* (not sample) the single-fault tolerance of recovery
 //!   circuits.
@@ -94,7 +94,7 @@ pub mod prelude {
         BackendKind, Engine, Estimator, McOptions, McOutcome, StratumOutcome, WordTrial, WordWidth,
         DEFAULT_BATCH_THRESHOLD, DEFAULT_STRATA_CAP, STRATIFIED_ROUTING_THRESHOLD,
     };
-    pub use crate::exec::{run_ideal, ExecReport};
+    pub use crate::exec::ExecReport;
     pub use crate::fault::{double_fault_plans, single_fault_plans, FaultPlan, PlannedFault};
     pub use crate::gate::{Gate, OpKind};
     pub use crate::microop::CompileStats;

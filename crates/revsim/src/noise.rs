@@ -90,16 +90,6 @@ impl SplitNoise {
         SplitNoise { gate, init }
     }
 
-    /// Gate failure rate.
-    pub fn gate_rate(&self) -> f64 {
-        self.gate
-    }
-
-    /// Initialization failure rate.
-    pub fn init_rate(&self) -> f64 {
-        self.init
-    }
-
     /// A model with perfect initialization.
     pub fn perfect_init(gate: f64) -> Self {
         SplitNoise::new(gate, 0.0)

@@ -194,23 +194,6 @@ impl BitState {
         self.words.iter().map(|w| w.count_ones()).sum()
     }
 
-    /// Hamming distance to another state of the same length.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lengths differ.
-    pub fn hamming_distance(&self, other: &BitState) -> u32 {
-        assert_eq!(
-            self.len, other.len,
-            "hamming distance requires equal lengths"
-        );
-        self.words
-            .iter()
-            .zip(other.words.iter())
-            .map(|(a, b)| (a ^ b).count_ones())
-            .sum()
-    }
-
     /// Iterates over all bit values, wire 0 first.
     pub fn iter(&self) -> impl Iterator<Item = bool> + '_ {
         (0..self.len).map(move |i| (self.words[i / 64] >> (i % 64)) & 1 == 1)
@@ -321,22 +304,6 @@ mod tests {
             s.write_pattern(&wires, pattern);
             assert_eq!(s.read_pattern(&wires), pattern);
         }
-    }
-
-    #[test]
-    fn hamming_distance_counts_differences() {
-        let a = BitState::from_u64(0b1100, 4);
-        let b = BitState::from_u64(0b1010, 4);
-        assert_eq!(a.hamming_distance(&b), 2);
-        assert_eq!(a.hamming_distance(&a), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "equal lengths")]
-    fn hamming_distance_length_mismatch_panics() {
-        let a = BitState::zeros(4);
-        let b = BitState::zeros(5);
-        let _ = a.hamming_distance(&b);
     }
 
     #[test]

@@ -91,7 +91,7 @@ impl WordTrial for Wire0Trial {
 }
 
 proptest! {
-    /// `run_ideal` on every lane's `BitState` and one batch execution of
+    /// `Circuit::run` on every lane's `BitState` and one batch execution of
     /// the same circuit agree lane by lane, on arbitrary circuits
     /// (including inits) and arbitrary lane contents.
     #[test]
@@ -104,7 +104,7 @@ proptest! {
         run_ideal_batch(&c, &mut batch);
         for (lane, state) in states.iter().enumerate() {
             let mut expect = state.clone();
-            run_ideal(&c, &mut expect);
+            c.run(&mut expect);
             prop_assert_eq!(batch.lane(lane), expect, "lane {}", lane);
         }
     }
@@ -201,7 +201,7 @@ proptest! {
         run_ideal_batch(&c, &mut ideal);
         let engine = Engine::compile(&c, &UniformNoise::new(0.08));
         let report = engine.run_batch(&mut noisy, &mut rng);
-        let clean = report.clean_lanes(0);
+        let clean = !report.faulted_lanes[0];
         for lane in 0..64 {
             if (clean >> lane) & 1 == 1 {
                 prop_assert_eq!(noisy.lane(lane), ideal.lane(lane), "clean lane {}", lane);
@@ -274,7 +274,7 @@ fn multi_word_batches_cover_all_lanes() {
     run_ideal_batch(&c, &mut batch);
     for (lane, state) in states.iter().enumerate() {
         let mut expect = state.clone();
-        run_ideal(&c, &mut expect);
+        c.run(&mut expect);
         assert_eq!(batch.lane(lane), expect, "lane {lane}");
     }
 }
