@@ -101,13 +101,6 @@ pub fn run() -> BlowupResult {
 }
 
 impl BlowupResult {
-    /// Whether the worked example reproduces the paper's numbers.
-    pub fn worked_example_ok(&self) -> bool {
-        self.worked_level == 2
-            && (self.worked_gate_factor - 441.0).abs() < 1e-9
-            && (self.worked_size_factor - 81.0).abs() < 1e-9
-    }
-
     /// The [`Report`] artifact: the blow-up table, machine-readable
     /// series and worked-example checks.
     pub fn to_report(&self) -> Report {
@@ -198,7 +191,7 @@ mod tests {
     #[test]
     fn worked_example_matches_paper() {
         let r = run();
-        assert!(r.worked_example_ok());
+        assert!(r.to_report().passed());
         assert!((r.unprotected_limit - 1080.0).abs() < 1.0);
     }
 

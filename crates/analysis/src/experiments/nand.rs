@@ -56,14 +56,6 @@ pub fn run() -> NandResult {
 }
 
 impl NandResult {
-    /// Whether footnote 4 verifies: optimum is exactly 3/2, achieved by
-    /// `MAJ⁻¹` but not by the plain Toffoli wiring.
-    pub fn footnote_4_ok(&self) -> bool {
-        (self.optimal_bits - 1.5).abs() < 1e-12
-            && (self.maj_inv.reset_joint_entropy - 1.5).abs() < 1e-12
-            && self.toffoli.reset_joint_entropy > 1.5
-    }
-
     /// The [`Report`] artifact: the dissipation comparison plus the
     /// footnote-4 optimality checks.
     pub fn to_report(&self) -> Report {
@@ -124,7 +116,7 @@ mod tests {
     #[test]
     fn footnote_4_verifies() {
         let r = run();
-        assert!(r.footnote_4_ok());
+        assert!(r.to_report().passed());
         assert!(r.optimal_schemes > 0);
         // The Toffoli wiring pays the full 2 bits without concentration.
         assert!((r.toffoli.reset_joint_entropy - 2.0).abs() < 1e-12);

@@ -65,11 +65,6 @@ pub fn run() -> Table2Result {
 }
 
 impl Table2Result {
-    /// Whether the computed column matches the paper to printed precision.
-    pub fn matches_paper(&self) -> bool {
-        self.max_deviation < 0.005
-    }
-
     /// The [`Report`] artifact: both table variants plus the
     /// printed-precision check against the published column.
     pub fn to_report(&self) -> Report {
@@ -133,7 +128,7 @@ mod tests {
     #[test]
     fn reproduces_table_2_exactly() {
         let r = run();
-        assert!(r.matches_paper(), "max deviation {}", r.max_deviation);
+        assert!(r.to_report().passed(), "max deviation {}", r.max_deviation);
         assert_eq!(r.rows.len(), 6);
         assert_eq!(r.rows[3].width, 27);
     }

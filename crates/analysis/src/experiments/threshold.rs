@@ -163,15 +163,6 @@ pub fn run_ctx(ctx: &mut ExperimentContext) -> ThresholdResult {
 }
 
 impl ThresholdResult {
-    /// Whether every measured crossing is at or above the analytic lower
-    /// bound (allowing Monte-Carlo slack).
-    pub fn crossings_above_analytic(&self) -> bool {
-        self.series.iter().all(|s| match s.measured_crossing {
-            Some(g) => g >= s.analytic_threshold * 0.8,
-            None => false,
-        })
-    }
-
     /// The [`Report`] artifact: one sweep table and logical-rate series
     /// per noise accounting, plus the crossing-above-bound checks.
     pub fn to_report(&self) -> Report {

@@ -6,6 +6,7 @@ use reversible_ft::analysis::experiments::{
     advantage, blowup, entropy, fig2, levelreq, local, nand, suppression, table1, table2,
     threshold, RunConfig,
 };
+use reversible_ft::analysis::report::Report;
 
 fn quick() -> RunConfig {
     RunConfig {
@@ -14,6 +15,11 @@ fn quick() -> RunConfig {
         threads: 4,
         ..RunConfig::quick()
     }
+}
+
+/// Asserts that every self-check of `report` passed, listing the failures.
+fn assert_passes(report: Report) {
+    assert!(report.passed(), "{:#?}", report.failed_checks());
 }
 
 #[test]
@@ -28,15 +34,7 @@ fn fig2_verifies_fault_tolerance_claims() {
 
 #[test]
 fn threshold_sweep_brackets_and_beats_the_analytic_bound() {
-    let r = threshold::run(&quick());
-    assert!(
-        r.crossings_above_analytic(),
-        "{:?}",
-        r.series
-            .iter()
-            .map(|s| s.measured_crossing)
-            .collect::<Vec<_>>()
-    );
+    assert_passes(threshold::run(&quick()).to_report());
 }
 
 #[test]
@@ -46,12 +44,12 @@ fn suppression_below_threshold() {
 
 #[test]
 fn blowup_worked_example() {
-    assert!(blowup::run().worked_example_ok());
+    assert_passes(blowup::run().to_report());
 }
 
 #[test]
 fn levelreq_exponent() {
-    assert!(levelreq::run().exponent_consistent());
+    assert_passes(levelreq::run().to_report());
 }
 
 #[test]
@@ -63,7 +61,7 @@ fn local_structure_and_ordering() {
 
 #[test]
 fn table2_matches() {
-    assert!(table2::run().matches_paper());
+    assert_passes(table2::run().to_report());
 }
 
 #[test]
@@ -77,7 +75,7 @@ fn entropy_within_bounds() {
 
 #[test]
 fn nand_footnote_4() {
-    assert!(nand::run().footnote_4_ok());
+    assert_passes(nand::run().to_report());
 }
 
 #[test]
