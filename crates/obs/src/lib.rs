@@ -1,4 +1,5 @@
-//! Zero-cost instrumentation for the reversible-fault-tolerance workspace.
+//! Low-overhead instrumentation for the reversible-fault-tolerance
+//! workspace.
 //!
 //! The crate exposes one handle, [`Collector`], carrying three kinds of
 //! observables drawn from a fixed catalog (see [`Metric`], [`Gauge`],
@@ -13,28 +14,19 @@
 //!   by [`Collector::tracing`] keeps them, exportable as
 //!   Chrome-trace-event JSON ([`Collector::trace_json`]).
 //!
-//! Two disabling mechanisms exist, with different cost models:
-//!
-//! * Building with `--no-default-features` (turning off the `enabled`
-//!   feature) replaces every type with a zero-sized struct and every
-//!   method with an empty `#[inline]` body — the disabled path is
-//!   provably free: no branch, no load, nothing for the optimizer to
-//!   even elide.
-//! * [`Collector::disabled`] gives a runtime no-op handle in a build
-//!   that *does* have the feature on; each operation is then one
-//!   `Option` check. This is what the `obs_overhead` benchmark uses to
-//!   compare instrumented against disabled in a single binary.
+//! [`Collector::disabled`] is the no-op handle: each operation is then one
+//! `Option` check. The `obs_overhead` benchmark compares an instrumented
+//! estimate against a disabled one in a single binary.
 //!
 //! The design contract, enforced by the golden-report tests in
 //! `rft-bench`: instrumentation never touches an RNG stream and never
 //! influences a scheduling decision, so every report stays byte-identical
-//! whether collection is on, off, or absent.
+//! whether collection is on or off.
 
 mod catalog;
 
 pub use catalog::{Gauge, Hist, Metric};
 
-#[cfg(feature = "enabled")]
 mod real {
     use super::{Gauge, Hist, Metric};
     use std::cell::Cell;
@@ -629,240 +621,12 @@ mod real {
     }
 }
 
-#[cfg(feature = "enabled")]
 pub use real::{
     bucket_index, bucket_upper_bound, current_tid, Collector, HistSnapshot, Snapshot, Span,
     SpanEvent, HIST_BUCKETS,
 };
 
-#[cfg(not(feature = "enabled"))]
-mod noop {
-    use super::{Gauge, Hist, Metric};
-
-    /// Histogram bucket count (mirrors the enabled build).
-    pub const HIST_BUCKETS: usize = 65;
-
-    /// Thread id stub; always 0 in the no-op build.
-    #[inline(always)]
-    pub fn current_tid() -> u64 {
-        0
-    }
-
-    /// Bucket index stub (kept functional: it is a pure function).
-    #[inline(always)]
-    pub fn bucket_index(v: u64) -> usize {
-        (64 - v.leading_zeros()) as usize
-    }
-
-    /// Bucket bound stub (kept functional: it is a pure function).
-    #[inline(always)]
-    pub fn bucket_upper_bound(index: usize) -> u64 {
-        if index == 0 {
-            0
-        } else if index >= 64 {
-            u64::MAX
-        } else {
-            (1u64 << index) - 1
-        }
-    }
-
-    /// Zero-sized stand-in for a span event; never constructed.
-    #[derive(Debug, Clone)]
-    pub struct SpanEvent {
-        /// Static span name.
-        pub name: &'static str,
-        /// Optional dynamic label.
-        pub label: Option<String>,
-        /// Start offset, nanoseconds.
-        pub ts_ns: u64,
-        /// Duration, nanoseconds.
-        pub dur_ns: u64,
-        /// Thread id.
-        pub tid: u64,
-    }
-
-    /// Zero-sized no-op collector: every method is an empty inline body.
-    #[derive(Debug, Clone, Default)]
-    pub struct Collector;
-
-    impl Collector {
-        /// No-op constructor.
-        #[inline(always)]
-        pub fn new() -> Collector {
-            Collector
-        }
-
-        /// No-op constructor (same as [`Collector::new`] here).
-        #[inline(always)]
-        pub fn tracing() -> Collector {
-            Collector
-        }
-
-        /// No-op constructor (same as [`Collector::new`] here).
-        #[inline(always)]
-        pub fn disabled() -> Collector {
-            Collector
-        }
-
-        /// Always `false` in the no-op build.
-        #[inline(always)]
-        pub fn is_enabled(&self) -> bool {
-            false
-        }
-
-        /// Returns another no-op handle.
-        #[inline(always)]
-        pub fn child(&self) -> Collector {
-            Collector
-        }
-
-        /// Does nothing.
-        #[inline(always)]
-        pub fn add(&self, _m: Metric, _v: u64) {}
-
-        /// Does nothing.
-        #[inline(always)]
-        pub fn incr(&self, _m: Metric) {}
-
-        /// Always 0.
-        #[inline(always)]
-        pub fn get(&self, _m: Metric) -> u64 {
-            0
-        }
-
-        /// Does nothing.
-        #[inline(always)]
-        pub fn set_gauge(&self, _g: Gauge, _v: f64) {}
-
-        /// Always 0.0.
-        #[inline(always)]
-        pub fn gauge(&self, _g: Gauge) -> f64 {
-            0.0
-        }
-
-        /// Does nothing.
-        #[inline(always)]
-        pub fn observe(&self, _h: Hist, _v: u64) {}
-
-        /// Returns a zero-sized guard.
-        #[inline(always)]
-        pub fn span(&self, _name: &'static str) -> Span<'_> {
-            Span(std::marker::PhantomData)
-        }
-
-        /// Returns a zero-sized guard.
-        #[inline(always)]
-        pub fn span_metric(&self, _name: &'static str, _m: Metric) -> Span<'_> {
-            Span(std::marker::PhantomData)
-        }
-
-        /// Returns a zero-sized guard; the label closure never runs.
-        #[inline(always)]
-        pub fn labeled_span(
-            &self,
-            _name: &'static str,
-            _label: impl FnOnce() -> String,
-        ) -> Span<'_> {
-            Span(std::marker::PhantomData)
-        }
-
-        /// Returns a zero-sized guard; the label closure never runs.
-        #[inline(always)]
-        pub fn labeled_span_metric(
-            &self,
-            _name: &'static str,
-            _m: Metric,
-            _label: impl FnOnce() -> String,
-        ) -> Span<'_> {
-            Span(std::marker::PhantomData)
-        }
-
-        /// An all-zero snapshot.
-        #[inline(always)]
-        pub fn snapshot(&self) -> Snapshot {
-            Snapshot
-        }
-
-        /// Always empty.
-        #[inline(always)]
-        pub fn span_events(&self) -> Vec<SpanEvent> {
-            Vec::new()
-        }
-
-        /// An empty trace document.
-        #[inline(always)]
-        pub fn trace_json(&self) -> String {
-            "{\"traceEvents\":[]}".to_string()
-        }
-    }
-
-    /// Zero-sized span guard.
-    #[must_use = "a span measures the region until it is dropped"]
-    pub struct Span<'a>(pub(crate) std::marker::PhantomData<&'a ()>);
-
-    /// Zero-sized histogram snapshot.
-    #[derive(Debug, Clone, Default)]
-    pub struct HistSnapshot;
-
-    impl HistSnapshot {
-        /// Always 0.0.
-        #[inline(always)]
-        pub fn mean(&self) -> f64 {
-            0.0
-        }
-
-        /// Always 0.
-        #[inline(always)]
-        pub fn approx_max(&self) -> u64 {
-            0
-        }
-    }
-
-    /// Zero-sized snapshot.
-    #[derive(Debug, Clone, Default)]
-    pub struct Snapshot;
-
-    impl Snapshot {
-        /// An all-zero snapshot.
-        #[inline(always)]
-        pub fn empty() -> Snapshot {
-            Snapshot
-        }
-
-        /// Always 0.
-        #[inline(always)]
-        pub fn counter(&self, _m: Metric) -> u64 {
-            0
-        }
-
-        /// Always 0.0.
-        #[inline(always)]
-        pub fn gauge(&self, _g: Gauge) -> f64 {
-            0.0
-        }
-
-        /// Always the zero histogram.
-        #[inline(always)]
-        pub fn hist(&self, _h: Hist) -> &HistSnapshot {
-            const EMPTY: &HistSnapshot = &HistSnapshot;
-            EMPTY
-        }
-
-        /// Always the empty-table placeholder.
-        #[inline(always)]
-        pub fn render_table(&self) -> String {
-            "(no observations)\n".to_string()
-        }
-    }
-}
-
-#[cfg(not(feature = "enabled"))]
-pub use noop::{
-    bucket_index, bucket_upper_bound, current_tid, Collector, HistSnapshot, Snapshot, Span,
-    SpanEvent, HIST_BUCKETS,
-};
-
-#[cfg(all(test, feature = "enabled"))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use std::collections::HashSet;
