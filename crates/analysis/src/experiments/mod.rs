@@ -38,7 +38,7 @@ pub mod table1;
 pub mod table2;
 pub mod threshold;
 
-use rft_revsim::engine::{BackendKind, Estimator, McOptions, WordWidth};
+use rft_revsim::engine::{BackendKind, Estimator, McOptions};
 use serde::{Deserialize, Serialize};
 
 /// Monte-Carlo budget shared by the experiments — the experiment-facing
@@ -60,9 +60,6 @@ pub struct RunConfig {
     /// Estimator selection policy (auto routes deep-sub-threshold points
     /// to the fault-count-stratified rare-event estimator).
     pub estimator: Estimator,
-    /// Wide-word width of the batch word loops (pure throughput: results
-    /// are bit-identical at any width).
-    pub width: WordWidth,
     /// Optional adaptive early stopping once the pooled 95% interval's
     /// relative half-width reaches this target
     /// ([`McOptions::target_rel_error`]).
@@ -78,7 +75,6 @@ impl RunConfig {
             threads: default_threads(),
             backend: BackendKind::Auto,
             estimator: Estimator::Auto,
-            width: WordWidth::Auto,
             target_rel_error: None,
         }
     }
@@ -98,8 +94,7 @@ impl RunConfig {
             .seed(self.seed)
             .threads(self.threads)
             .backend(self.backend)
-            .estimator(self.estimator)
-            .width(self.width);
+            .estimator(self.estimator);
         match self.target_rel_error {
             Some(target) => opts.target_rel_error(target),
             None => opts,

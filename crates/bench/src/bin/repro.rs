@@ -81,7 +81,7 @@ fn usage() -> String {
     let ids: Vec<&str> = registry().iter().map(|e| e.id()).collect();
     format!(
         "usage: repro [list] [--quick] [--trials N] [--seed S] [--threads N]\n\
-         \x20            [--backend auto|scalar|batch] [--width auto|1|2|4]\n\
+         \x20            [--backend auto|scalar|batch]\n\
          \x20            [--estimator plain|stratified[:MIN[:STRATA]]|auto]\n\
          \x20            [--rel-error E] [--json DIR] [--check] [--quiet]\n\
          \x20            [--trace FILE] [--metrics] [--tag TAG] [EXPERIMENT ...]\n\
@@ -160,10 +160,6 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Cli, String> {
             "--estimator" => {
                 let v = next_value(&mut i, "--estimator", &raw)?;
                 cli.cfg.estimator = v.parse()?;
-            }
-            "--width" => {
-                let v = next_value(&mut i, "--width", &raw)?;
-                cli.cfg.width = v.parse()?;
             }
             "--rel-error" => {
                 let v = next_value(&mut i, "--rel-error", &raw)?;
