@@ -21,7 +21,11 @@ derived from a fixed ``--seed`` so failures replay:
    clean ``cancelled`` line and terminate the chunked body properly;
 7. **seeded garbage**: random request prefixes and byte noise must never
    kill the daemon;
-8. SIGTERM must still drain and exit 0 after all of the above.
+8. **soak**: one keep-alive client serves 20,000 warm one-round jobs; the
+   daemon's resident set (``VmRSS`` in ``/proc/<pid>/status``) after the
+   last job must be within a fixed margin of its size after 2,000, so no
+   per-job state accumulates;
+9. SIGTERM must still drain and exit 0 after all of the above.
 
 Artifacts (daemon log, per-scenario transcripts) are written to
 ``--out`` for CI upload. Exit code 0 = all checks passed.
@@ -353,6 +357,47 @@ def scenario_garbage(host, port, seed):
     check("garbage: daemon survives seeded noise", True)
 
 
+SOAK_JOBS = 20_000
+SOAK_WARMUP_JOBS = 2_000
+SOAK_RSS_MARGIN_KIB = 512
+
+
+def vm_rss_kib(pid):
+    with open(f"/proc/{pid}/status", encoding="utf-8") as f:
+        for line in f:
+            if line.startswith("VmRSS:"):
+                return int(line.split()[1])
+    sys.exit(f"serve_chaos: no VmRSS line for pid {pid}")
+
+
+def scenario_soak(host, port, pid):
+    body = json.dumps({"schema_version": 1, "spec": job_spec(0, 256, 1)})
+    conn = http.client.HTTPConnection(host, port, timeout=60)
+    failed, warm_rss = 0, None
+    start = time.monotonic()
+    try:
+        for n in range(1, SOAK_JOBS + 1):
+            conn.request("POST", "/jobs", body=body)
+            resp = conn.getresponse()
+            lines = resp.read().splitlines()
+            if resp.status != 200 or b'"kind":"final"' not in lines[-1]:
+                failed += 1
+            if n == SOAK_WARMUP_JOBS:
+                warm_rss = vm_rss_kib(pid)
+    finally:
+        conn.close()
+    elapsed = time.monotonic() - start
+    rss = vm_rss_kib(pid)
+    check("soak: every warm job streams a final line", failed == 0,
+          f"{failed} of {SOAK_JOBS} failed, {SOAK_JOBS / elapsed:.0f} jobs/s")
+    check(
+        f"soak: RSS after {SOAK_JOBS} jobs within {SOAK_RSS_MARGIN_KIB} KiB of "
+        f"RSS after {SOAK_WARMUP_JOBS}",
+        rss - warm_rss <= SOAK_RSS_MARGIN_KIB,
+        f"{warm_rss} KiB -> {rss} KiB",
+    )
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--bin-dir", default="target/release")
@@ -374,6 +419,7 @@ def main():
         scenario_disconnect(host, port, args.bin_dir, out_dir)
         scenario_deadline(host, port)
         scenario_garbage(host, port, args.seed)
+        scenario_soak(host, port, proc.pid)
 
         status, _, body = request(host, port, "GET", "/stats", timeout=10)
         (out_dir / "stats.json").write_bytes(body)
