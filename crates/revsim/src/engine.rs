@@ -146,7 +146,7 @@ use crate::helpers;
 use crate::microop::{self, CompileStats, CompiledOps, ExecScratch};
 use crate::noise::NoiseModel;
 use crate::op::Op;
-use crate::schedule::{CountCdf, FaultCountDist, FaultTable, PlainPlan, StrataPlan};
+use crate::schedule::{FaultCountDist, FaultTable, PlainPlan, StrataPlan};
 use crate::state::BitState;
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -700,36 +700,7 @@ impl Engine {
         {
             return Arc::clone(plan);
         }
-        let cap = strata_cap.max(1) as usize;
-        let min = min_faults as usize;
-        let dist = self.fault_dist();
-        let strata: Vec<StratumOutcome> = (0..cap)
-            .map(|i| {
-                let k = min + i;
-                let (k_hi, weight) = if i + 1 == cap {
-                    (None, dist.mass_at_least(k))
-                } else {
-                    (Some(k as u32), dist.pmf_at(k))
-                };
-                StratumOutcome {
-                    k_lo: k as u32,
-                    k_hi,
-                    weight,
-                    failures: 0,
-                    trials: 0,
-                }
-            })
-            .collect();
-        let sample_weight: f64 = strata.iter().map(|s| s.weight).sum();
-        let all_elided = strata.iter().all(|s| s.weight <= 0.0);
-        let plan = Arc::new(StrataPlan {
-            min_faults,
-            strata_cap,
-            strata,
-            sample_weight,
-            all_elided,
-            tail: CountCdf::at_least(dist, min + cap - 1),
-        });
+        let plan = Arc::new(StrataPlan::new(self.fault_dist(), min_faults, strata_cap));
         plans.push(Arc::clone(&plan));
         plan
     }

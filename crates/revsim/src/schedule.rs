@@ -403,13 +403,13 @@ impl FaultCountDist {
 /// The law of one lane's fault count conditioned on `K ≥ lo`: a CDF over
 /// `lo..=max_k` whose top bin absorbs the truncated tail mass.
 #[derive(Debug)]
-pub(crate) struct CountCdf {
+struct CountCdf {
     lo: usize,
     cdf: Vec<f64>,
 }
 
 impl CountCdf {
-    pub(crate) fn at_least(dist: &FaultCountDist, lo: usize) -> Self {
+    fn at_least(dist: &FaultCountDist, lo: usize) -> Self {
         let mut acc = 0.0;
         let mut cdf: Vec<f64> = (lo..=dist.max_k().max(lo))
             .map(|k| {
@@ -578,10 +578,45 @@ pub(crate) struct StrataPlan {
     /// Every stratum weight is zero — the run resolves analytically.
     pub(crate) all_elided: bool,
     /// The tail stratum's fault count.
-    pub(crate) tail: CountCdf,
+    tail: CountCdf,
 }
 
 impl StrataPlan {
+    /// The `(min_faults, strata_cap)` layout of `dist`: explicit strata
+    /// `min_faults, min_faults + 1, …` weighted off the PMF, then one tail
+    /// stratum holding the rest of the mass.
+    pub(crate) fn new(dist: &FaultCountDist, min_faults: u32, strata_cap: u32) -> Self {
+        let cap = strata_cap.max(1) as usize;
+        let min = min_faults as usize;
+        let strata: Vec<StratumOutcome> = (0..cap)
+            .map(|i| {
+                let k = min + i;
+                let (k_hi, weight) = if i + 1 == cap {
+                    (None, dist.mass_at_least(k))
+                } else {
+                    (Some(k as u32), dist.pmf_at(k))
+                };
+                StratumOutcome {
+                    k_lo: k as u32,
+                    k_hi,
+                    weight,
+                    failures: 0,
+                    trials: 0,
+                }
+            })
+            .collect();
+        let sample_weight: f64 = strata.iter().map(|s| s.weight).sum();
+        let all_elided = strata.iter().all(|s| s.weight <= 0.0);
+        StrataPlan {
+            min_faults,
+            strata_cap,
+            strata,
+            sample_weight,
+            all_elided,
+            tail: CountCdf::at_least(dist, min + cap - 1),
+        }
+    }
+
     /// Phase 1's placement for word `w` of stratum `si`: every lane
     /// holds the stratum's fault count — fixed for an explicit stratum,
     /// off the conditional CDF in the tail (see
