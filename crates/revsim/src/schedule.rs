@@ -147,7 +147,8 @@ impl FaultTable {
         }
     }
 
-    /// Approximate heap footprint (see [`Engine::approx_bytes`]).
+    /// Approximate heap footprint (see
+    /// [`Engine::approx_bytes`](crate::engine::Engine::approx_bytes)).
     pub(crate) fn approx_bytes(&self) -> usize {
         use std::mem::size_of;
         self.probs.len() * size_of::<f64>()
@@ -166,10 +167,12 @@ impl FaultTable {
 /// through the engine's *rate groups* (ops sharing one probability), so
 /// a group's contribution is an exact `Binomial(n_j, p_j)`.
 ///
-/// Built lazily (once per [`Engine`]) by [`Engine::fault_dist`]; powers
-/// the [`Estimator::Stratified`] weights and every word's lane-major
-/// fault placement ([`FaultCountDist::place_lanes`]). PMFs are truncated
-/// where the remaining tail mass drops below [`PMF_TAIL_EPS`]; the
+/// Built lazily (once per [`Engine`](crate::engine::Engine)) by
+/// [`Engine::fault_dist`](crate::engine::Engine::fault_dist); powers the
+/// [`Estimator::Stratified`](crate::engine::Estimator::Stratified) weights
+/// and every word's lane-major fault placement
+/// ([`FaultCountDist::place_lanes`]). PMFs are truncated where the
+/// remaining tail mass drops below [`PMF_TAIL_EPS`]; the
 /// stratified estimator is exactly unbiased for the truncated
 /// distribution.
 #[derive(Debug, Clone)]
@@ -436,7 +439,8 @@ impl CountCdf {
     }
 }
 
-/// The plain word's memoized schedule law ([`Engine::plain_plan`]): every
+/// The plain word's memoized schedule law
+/// ([`Engine::plain_plan`](crate::engine::Engine::plain_plan)): every
 /// lane faults at all with `P(K ≥ 1)`, independently, and a faulted lane
 /// then holds `K | K ≥ 1` faults placed by the exact conditional law —
 /// the per-op Bernoulli law, up to the PMF's truncation.
@@ -457,7 +461,8 @@ impl PlainPlan {
         }
     }
 
-    /// Approximate heap footprint (see [`Engine::approx_bytes`]).
+    /// Approximate heap footprint (see
+    /// [`Engine::approx_bytes`](crate::engine::Engine::approx_bytes)).
     pub(crate) fn approx_bytes(&self) -> usize {
         use std::mem::size_of;
         let cdfs = self.lanes.cdf.len() + self.counts.cdf.len();
@@ -566,7 +571,8 @@ pub(crate) fn fill_fault_planes(
     }
 }
 
-/// A memoized stratified-estimator layout (see [`Engine::strata_plan`]).
+/// A memoized stratified-estimator layout (see
+/// [`Engine::strata_plan`](crate::engine::Engine::strata_plan)).
 #[derive(Debug)]
 pub(crate) struct StrataPlan {
     pub(crate) min_faults: u32,
@@ -636,7 +642,8 @@ impl StrataPlan {
         dist.place_lanes(u64::MAX, count, w, rng, scratch);
     }
 
-    /// Approximate heap footprint (see [`Engine::approx_bytes`]).
+    /// Approximate heap footprint (see
+    /// [`Engine::approx_bytes`](crate::engine::Engine::approx_bytes)).
     pub(crate) fn approx_bytes(&self) -> usize {
         use std::mem::size_of;
         size_of::<StrataPlan>()
