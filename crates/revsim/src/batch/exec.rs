@@ -57,8 +57,8 @@ pub fn run_ideal_batch(circuit: &Circuit, batch: &mut BatchState) {
 /// Executes one 64-lane word under a **precomputed** per-op fault-mask
 /// schedule, op at a time — the reference behind
 /// [`Engine::run_batch_masked_raw`](crate::engine::Engine::run_batch_masked_raw).
-/// Fault planes are drawn from `rng` in
-/// op order via [`fill_fault_planes`], as the compiled masked loop does.
+/// Fault planes are drawn from `rng` in op order via
+/// [`fill_fault_planes`], as the compiled masked loop does.
 pub(crate) fn run_masked_word_batch(
     circuit: &Circuit,
     batch: &mut BatchState,

@@ -380,7 +380,7 @@ def scenario_soak(host, port, pid):
             conn.request("POST", "/jobs", body=body)
             resp = conn.getresponse()
             lines = resp.read().splitlines()
-            if resp.status != 200 or b'"kind":"final"' not in lines[-1]:
+            if resp.status != 200 or not lines or b'"kind":"final"' not in lines[-1]:
                 failed += 1
             if n == SOAK_WARMUP_JOBS:
                 warm_rss = vm_rss_kib(pid)
