@@ -694,10 +694,7 @@ impl Engine {
     /// Poisson-binomial PMF) plus the tail stratum's conditional CDF.
     pub(crate) fn strata_plan(&self, min_faults: u32, strata_cap: u32) -> Arc<StrataPlan> {
         let mut plans = self.plans.lock().expect("strata plan cache poisoned");
-        if let Some(plan) = plans
-            .iter()
-            .find(|p| p.min_faults == min_faults && p.strata_cap == strata_cap)
-        {
+        if let Some(plan) = plans.iter().find(|p| p.is_for(min_faults, strata_cap)) {
             return Arc::clone(plan);
         }
         let plan = Arc::new(StrataPlan::new(self.fault_dist(), min_faults, strata_cap));

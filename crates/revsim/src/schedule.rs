@@ -575,8 +575,8 @@ pub(crate) fn fill_fault_planes(
 /// [`Engine::strata_plan`](crate::engine::Engine::strata_plan)).
 #[derive(Debug)]
 pub(crate) struct StrataPlan {
-    pub(crate) min_faults: u32,
-    pub(crate) strata_cap: u32,
+    min_faults: u32,
+    strata_cap: u32,
     /// Zero-tally stratum template with exact weights.
     pub(crate) strata: Vec<StratumOutcome>,
     /// Total executable probability mass.
@@ -621,6 +621,11 @@ impl StrataPlan {
             all_elided,
             tail: CountCdf::at_least(dist, min + cap - 1),
         }
+    }
+
+    /// Whether this is the `(min_faults, strata_cap)` layout.
+    pub(crate) fn is_for(&self, min_faults: u32, strata_cap: u32) -> bool {
+        self.min_faults == min_faults && self.strata_cap == strata_cap
     }
 
     /// Phase 1's placement for word `w` of stratum `si`: every lane

@@ -1,17 +1,16 @@
 #!/usr/bin/env python3
 """Print the non-test source lines of each workspace crate.
 
-Usage: count_lines.py [CRATE ...]
+Usage: count_lines.py
 
 A file's non-test lines are the lines before its first ``#[cfg(test)]``
 or ``#[cfg(all(test...`` attribute (the whole file when it has none).
 Each crate's count sums ``crates/<crate>/src/**/*.rs``; integration tests,
-benches and vendored shims are not counted. With no arguments every crate
-under ``crates/`` is printed, one ``<crate> <lines>`` row each, then the
-``revsim+analysis`` sum. Reporting only: the exit status is always 0.
+benches and vendored shims are not counted. Every crate under ``crates/``
+is printed, one ``<crate> <lines>`` row each, then the ``revsim+analysis``
+sum. Reporting only: the exit status is always 0.
 """
 
-import argparse
 import pathlib
 import re
 
@@ -35,17 +34,13 @@ def crate_lines(crate):
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("crates", nargs="*", help="crate directory names under crates/")
-    args = ap.parse_args()
-    crates = args.crates or sorted(
+    crates = sorted(
         p.name for p in (ROOT / "crates").iterdir() if (p / "src").is_dir()
     )
     counts = {c: crate_lines(c) for c in crates}
     for c in crates:
         print(f"{c} {counts[c]}")
-    if not args.crates:
-        print(f"revsim+analysis {counts['revsim'] + counts['analysis']}")
+    print(f"revsim+analysis {counts['revsim'] + counts['analysis']}")
 
 
 if __name__ == "__main__":
